@@ -18,9 +18,10 @@
  *    would see (on a 1-core host this is pinned near what one core
  *    can simulate, whatever the width).
  *
- * Pipeline depth 1 uses sequential HDS1.0 submits on a kept-alive
- * connection; deeper points pipeline SUBMIT_JOB batches per
- * connection (HDS1.1). `--assert-monotonic`, `--assert-speedup`, and
+ * Pipeline depth 1 is a window-1 SUBMIT_JOB (one frame in flight, the
+ * "sequential" points below) on a kept-alive connection; deeper
+ * points pipeline SUBMIT_JOB batches per connection.
+ * `--assert-monotonic`, `--assert-speedup`, and
  * `--p99-ceiling-ms` turn the sweep into a CI regression gate.
  *
  * Writes an "hdrd-bench-service-v2" JSON report (default

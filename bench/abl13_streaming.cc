@@ -7,13 +7,13 @@
  * geometric ladder of trace lengths (1x, 2x, ... 8x). Each length is
  * analyzed twice over the same socket:
  *
- *  - **buffered**: the classic SUBMIT path — the client slurps the
+ *  - **buffered**: SUBMIT_JOB — the client slurps the
  *    whole TRC2 image into memory, the server decodes it into a
  *    complete TraceData before analysis starts, and the first byte
  *    of report JSON exists only after the last op executed. Peak
  *    memory scales with trace length twice over (client image +
  *    server op vectors).
- *  - **streamed**: HDS1.2 SUBMIT_STREAM — the client reads the trace
+ *  - **streamed**: SUBMIT_STREAM — the client reads the trace
  *    file in 64 KiB chunks under the server's CREDIT window while
  *    the engine analyzes concurrently; JOB_PARTIAL reports appear
  *    from the first partial-interval on. Un-analyzed bytes are

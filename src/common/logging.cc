@@ -45,12 +45,29 @@ fatalImpl(const std::string &msg)
     std::exit(1);
 }
 
+namespace
+{
+thread_local bool trap_panics = false;
+}
+
 void
 panicImpl(const std::string &msg)
 {
+    if (trap_panics)
+        throw PanicError(msg);
     std::fprintf(stderr, "panic: %s\n", msg.c_str());
     std::abort();
 }
 
 } // namespace log_detail
+
+PanicTrap::PanicTrap() : outer_(log_detail::trap_panics)
+{
+    log_detail::trap_panics = true;
+}
+
+PanicTrap::~PanicTrap()
+{
+    log_detail::trap_panics = outer_;
+}
 } // namespace hdrd

@@ -15,6 +15,7 @@
 #define HDRD_COMMON_LOGGING_HH
 
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 namespace hdrd
@@ -70,6 +71,31 @@ fatal(Args &&...args)
     log_detail::fatalImpl(
         log_detail::concat(std::forward<Args>(args)...));
 }
+
+/** What panic() throws inside a PanicTrap. */
+struct PanicError : std::runtime_error
+{
+    using std::runtime_error::runtime_error;
+};
+
+/**
+ * While alive, panic() (and so hdrdAssert()) on this thread throws
+ * PanicError instead of aborting. For running untrusted input — a
+ * replayed trace whose operations break the engine's invariants is
+ * that input's error, not a reason to take the process down.
+ */
+class PanicTrap
+{
+  public:
+    PanicTrap();
+    ~PanicTrap();
+
+    PanicTrap(const PanicTrap &) = delete;
+    PanicTrap &operator=(const PanicTrap &) = delete;
+
+  private:
+    bool outer_;
+};
 
 /** Abort the process: internal invariant violated (an hdrd bug). */
 template <typename... Args>

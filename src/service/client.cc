@@ -33,6 +33,32 @@ parseRetryAfter(const std::string &json)
                          10);
 }
 
+/**
+ * Store a job-keyed answer; an unkeyed BUSY or ERROR refuses the
+ * whole connection and stands for the keyed answer of every job.
+ */
+void
+setAnswer(Response &response, FrameType type, std::string payload)
+{
+    response.transport_ok = true;
+    response.type = type == FrameType::kBusy    ? FrameType::kJobBusy
+                  : type == FrameType::kError ? FrameType::kJobError
+                                              : type;
+    response.payload = std::move(payload);
+    if (response.isBusy())
+        response.retry_after_ms = parseRetryAfter(response.payload);
+}
+
+/** Give every job still without an answer @p answer. */
+void
+answerRest(std::vector<Response> &responses, const Response &answer)
+{
+    for (Response &response : responses) {
+        if (!response.transport_ok)
+            response = answer;
+    }
+}
+
 } // namespace
 
 std::string
@@ -168,8 +194,6 @@ Client::roundTrip(FrameType type, const std::string &payload)
     }
     response.transport_ok = true;
     response.type = static_cast<FrameType>(header.type);
-    if (response.isBusy())
-        response.retry_after_ms = parseRetryAfter(response.payload);
     return response;
 }
 
@@ -177,12 +201,7 @@ Response
 Client::submit(const JobOptions &options,
                const std::string &trace_bytes)
 {
-    std::string payload;
-    payload.reserve(sizeof(options) + trace_bytes.size());
-    payload.append(reinterpret_cast<const char *>(&options),
-                   sizeof(options));
-    payload.append(trace_bytes);
-    return roundTrip(FrameType::kSubmit, payload);
+    return submitPipelined({{options, &trace_bytes}}, 1).front();
 }
 
 Response
@@ -210,15 +229,6 @@ Response
 Client::ping()
 {
     return roundTrip(FrameType::kPing, "");
-}
-
-Response
-Client::hello()
-{
-    std::string payload(sizeof(std::uint32_t), '\0');
-    const std::uint32_t minor = kProtocolMinor;
-    std::memcpy(payload.data(), &minor, sizeof(minor));
-    return roundTrip(FrameType::kHello, payload);
 }
 
 bool
@@ -253,20 +263,15 @@ Client::readJobResponse(std::uint64_t &job_id, Response &response)
     }
     const auto type = static_cast<FrameType>(header.type);
     if (!isJobKeyed(type)) {
-        // A sequential-type response mid-pipeline is a protocol
-        // violation (or an HDS1.0 server's ERROR + close).
-        response.transport_ok = true;
-        response.type = type;
-        response.payload = std::move(payload);
-        job_id = 0;
+        setAnswer(response, type, std::move(payload));
         return false;
     }
-    if (!splitJobPayload(payload, job_id, response.payload))
+    std::string body;
+    if (!splitJobPayload(payload, job_id, body)) {
+        last_errno_ = response.transport_errno = EPROTO;
         return false;
-    response.transport_ok = true;
-    response.type = type;
-    if (response.isBusy())
-        response.retry_after_ms = parseRetryAfter(response.payload);
+    }
+    setAnswer(response, type, std::move(body));
     return true;
 }
 
@@ -370,20 +375,13 @@ Client::submitStream(const JobOptions &options,
         case FrameType::kJobReport:
         case FrameType::kJobBusy:
         case FrameType::kJobError:
-            response.transport_ok = true;
-            response.type = type;
-            response.payload = std::move(body);
-            if (response.isBusy())
-                response.retry_after_ms =
-                    parseRetryAfter(response.payload);
+            setAnswer(response, type, std::move(body));
             done = true;
             return;
+        case FrameType::kBusy:
         case FrameType::kError:
-            // Unkeyed protocol error (or an HDS1.0/1.1 server that
-            // does not speak SUBMIT_STREAM at all).
-            response.transport_ok = true;
-            response.type = type;
-            response.payload = std::move(payload);
+            // The daemon refused the connection or a frame.
+            setAnswer(response, type, std::move(payload));
             done = true;
             return;
         default:
@@ -529,8 +527,8 @@ Client::follow(const std::string &name,
         }
         const auto type = static_cast<FrameType>(header.type);
         if (!isJobKeyed(type)) {
-            // An HDS1.0/1.1 server answers ATTACH with a plain
-            // ERROR frame; surface it verbatim.
+            // A connection-level refusal (plain BUSY or ERROR);
+            // surface it verbatim.
             response.transport_ok = true;
             response.type = type;
             response.payload = std::move(payload);
@@ -555,12 +553,7 @@ Client::follow(const std::string &name,
                 handlers.on_partial(body);
             break;
         default:
-            response.transport_ok = true;
-            response.type = type;
-            response.payload = std::move(body);
-            if (response.isBusy())
-                response.retry_after_ms =
-                    parseRetryAfter(response.payload);
+            setAnswer(response, type, std::move(body));
             return response;
         }
     }
@@ -577,33 +570,48 @@ Client::submitPipelined(const std::vector<PipelineSubmission> &jobs,
 
     std::size_t next_send = 0;
     std::size_t outstanding = 0;
-    std::size_t received = 0;
-    while (received < jobs.size()) {
+    bool writable = true;
+    while (next_send < jobs.size() || outstanding > 0) {
         // Fill the window, then trade one response per new frame.
-        while (next_send < jobs.size() && outstanding < window) {
+        while (writable && next_send < jobs.size()
+               && outstanding < window) {
             const PipelineSubmission &job = jobs[next_send];
             errno = 0;
-            if (!sendJob(next_send, job.options,
-                         job.trace_bytes
-                             ? *job.trace_bytes
-                             : std::string())) {
-                last_errno_ = errno;
+            if (sendJob(next_send, job.options,
+                        job.trace_bytes ? *job.trace_bytes
+                                        : std::string())) {
+                ++next_send;
+                ++outstanding;
+                continue;
+            }
+            last_errno_ = errno;
+            if (errno != EPIPE && errno != ECONNRESET) {
+                Response lost;
+                lost.transport_errno = last_errno_;
+                answerRest(responses, lost);
                 close();
                 return responses;
             }
-            ++next_send;
-            ++outstanding;
+            // The daemon closed on us, maybe after answering (BUSY
+            // at its connection limit): read what it sent.
+            writable = false;
         }
         std::uint64_t job_id = 0;
         Response response;
-        if (!readJobResponse(job_id, response)
-            || job_id >= jobs.size()) {
+        if (!readJobResponse(job_id, response)) {
+            answerRest(responses, response);
+            close();
+            return responses;
+        }
+        if (job_id >= jobs.size() || responses[job_id].transport_ok) {
+            Response bad;
+            bad.transport_errno = last_errno_ = EPROTO;
+            answerRest(responses, bad);
             close();
             return responses;
         }
         responses[job_id] = std::move(response);
         --outstanding;
-        ++received;
     }
     return responses;
 }

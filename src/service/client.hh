@@ -1,10 +1,9 @@
 /**
  * @file
  * Client side of the hdrd service protocol: connect, submit traces
- * (sequentially or pipelined over one kept-alive connection), fetch
- * stats, negotiate the protocol minor version. Used by
- * tools/hdrd_client, the service tests, and the ABL-10 throughput
- * sweep.
+ * (pipelined over one kept-alive connection, or streamed), fetch
+ * stats. Used by tools/hdrd_client, the service tests, and the
+ * service benchmarks.
  */
 
 #ifndef HDRD_SERVICE_CLIENT_HH
@@ -44,16 +43,12 @@ struct Response
 
     bool isReport() const
     {
-        return transport_ok
-            && (type == FrameType::kReport
-                || type == FrameType::kJobReport);
+        return transport_ok && type == FrameType::kJobReport;
     }
 
     bool isBusy() const
     {
-        return transport_ok
-            && (type == FrameType::kBusy
-                || type == FrameType::kJobBusy);
+        return transport_ok && type == FrameType::kJobBusy;
     }
 };
 
@@ -97,13 +92,10 @@ struct StreamHandlers
 /**
  * One connection to an hdrd_served instance.
  *
- * Plain submit()/stats()/ping() are sequential request/response
- * (HDS1.0). Against an HDS1.1 server the same connection can also
- * pipeline: submitPipelined() keeps a bounded window of SUBMIT_JOB
- * frames in flight and correlates the out-of-order responses by job
- * id; hello() discovers whether the server speaks 1.1. The
- * connection stays usable across calls (keep-alive) — one socket can
- * carry any mix of sequential and pipelined batches.
+ * submitPipelined() keeps a bounded window of SUBMIT_JOB frames in
+ * flight and correlates the out-of-order responses by job id;
+ * submit() is the window-1 case. stats()/ping() are request/response.
+ * The connection stays usable across calls (keep-alive).
  */
 class Client
 {
@@ -147,7 +139,7 @@ class Client
     void close();
 
     /**
-     * Submit a trace image already in memory.
+     * Submit a trace image already in memory (one SUBMIT_JOB).
      * @param trace_bytes complete TRC2 file contents
      */
     Response submit(const JobOptions &options,
@@ -167,13 +159,6 @@ class Client
     Response ping();
 
     /**
-     * Protocol negotiation (HELLO). An HDS1.0 server answers with an
-     * ERROR frame and closes; the returned Response then has
-     * type == kError and the connection must be reopened.
-     */
-    Response hello();
-
-    /**
      * Pipeline @p jobs over this connection with at most @p window
      * SUBMIT_JOB frames outstanding, collecting out-of-order
      * responses by job id.
@@ -184,16 +169,20 @@ class Client
      *
      * @return one Response per job, in submission order. A transport
      *         failure fails the remaining responses
-     *         (transport_ok == false) and closes the connection.
+     *         (transport_ok == false) and closes the connection. An
+     *         unkeyed BUSY or ERROR — the daemon refusing the whole
+     *         connection, e.g. at its connection limit — becomes
+     *         every remaining job's JOB_BUSY/JOB_ERROR answer, also
+     *         when it arrives after a failed write.
      */
     std::vector<Response> submitPipelined(
         const std::vector<PipelineSubmission> &jobs,
         std::size_t window);
 
     /**
-     * Stream a trace to an HDS1.2 server (SUBMIT_STREAM +
-     * SUBMIT_DATA/SUBMIT_END) while concurrently consuming CREDIT
-     * grants, JOB_PARTIAL reports, and the final response. The
+     * Stream a trace (SUBMIT_STREAM + SUBMIT_DATA/SUBMIT_END) while
+     * concurrently consuming CREDIT grants, JOB_PARTIAL reports, and
+     * the final response. The
      * socket runs non-blocking with poll() on both directions for
      * the duration, so a server that pauses reading (credit
      * exhausted, partial unread) can never deadlock against a
@@ -203,8 +192,8 @@ class Client
      * @param name    session name other clients can ATTACH to
      * @param source  trace bytes, pulled as credit permits
      * @return the final JOB_REPORT/JOB_ERROR/JOB_BUSY response (the
-     *         report is byte-identical to a buffered submit of the
-     *         same bytes and options).
+     *         report is byte-identical to a SUBMIT_JOB of the same
+     *         bytes and options).
      */
     Response submitStream(const JobOptions &options,
                           const std::string &name,
@@ -229,7 +218,9 @@ class Client
 
     /**
      * Read one job-keyed response frame.
-     * @return false on transport/protocol failure.
+     * @return false when the exchange is over: @p response then
+     *         holds an unkeyed refusal as its keyed equivalent, or a
+     *         transport failure.
      */
     bool readJobResponse(std::uint64_t &job_id, Response &response);
 

@@ -1,6 +1,7 @@
 #include "service/connection.hh"
 
 #include <algorithm>
+#include <cctype>
 #include <cerrno>
 #include <cstring>
 
@@ -9,8 +10,8 @@
 #include <unistd.h>
 
 #include "service/metrics.hh"
+#include "service/server.hh"
 #include "stream/stream_session.hh"
-#include "trace/trace_format.hh"
 
 namespace hdrd::service
 {
@@ -22,15 +23,16 @@ using Clock = std::chrono::steady_clock;
 
 /**
  * Largest rejected-payload remainder worth discarding to keep the
- * connection; anything bigger closes it (same policy as HDS1.0).
+ * connection; anything bigger closes it.
  */
 constexpr std::uint64_t kDrainCap = 16ULL << 20;
 
 /** Socket bytes pulled per readiness event. */
 constexpr std::size_t kReadChunk = 64 * 1024;
 
-/** Record-decode batch size. */
-constexpr std::size_t kBatch = 512;
+/** SUBMIT_JOB's fixed prefix: job id + JobOptions. */
+constexpr std::size_t kJobPrefix =
+    sizeof(std::uint64_t) + sizeof(JobOptions);
 
 std::uint64_t
 usSince(Clock::time_point t0, Clock::time_point t1)
@@ -42,25 +44,8 @@ usSince(Clock::time_point t0, Clock::time_point t1)
 
 } // namespace
 
-std::size_t
-Connection::BufSource::read(char *dst, std::size_t n)
-{
-    const std::uint64_t trace_left =
-        conn_.trace_total_ - consumed_;
-    n = static_cast<std::size_t>(std::min<std::uint64_t>(
-        std::min<std::uint64_t>(n, trace_left),
-        conn_.rxAvailable()));
-    if (n == 0)
-        return 0;
-    std::memcpy(dst, conn_.rxData(), n);
-    conn_.rxConsume(n);
-    consumed_ += n;
-    return n;
-}
-
-Connection::Connection(int fd, std::uint64_t id,
-                       ConnectionHost &host)
-    : fd_(fd), id_(id), host_(host),
+Connection::Connection(int fd, std::uint64_t id, Server &server)
+    : fd_(fd), id_(id), server_(server),
       token_(std::make_shared<std::atomic<bool>>(true))
 {
 }
@@ -95,12 +80,11 @@ bool
 Connection::rxPaused() const
 {
     const std::uint32_t cap =
-        std::max<std::uint32_t>(1, host_.maxPipeline());
+        std::max<std::uint32_t>(1, server_.config().max_pipeline);
     // Unflushed responses count against the cap: a client that
     // pipelines but never reads stalls its own connection instead of
     // growing the daemon's outbound queue without bound.
-    return sequential_wait_
-        || in_flight_ + outbox_.size() >= cap;
+    return in_flight_ + outbox_.size() >= cap;
 }
 
 std::uint32_t
@@ -147,27 +131,21 @@ Connection::onWritable()
 }
 
 bool
-Connection::deliver(bool counted, bool keyed, std::uint64_t job_id,
-                    FrameType base, std::string body)
+Connection::deliver(bool counted, std::uint64_t job_id, FrameType type,
+                    std::string body)
 {
     if (counted && in_flight_ > 0)
         --in_flight_;
-    if (keyed) {
-        FrameType type = base;
-        if (base == FrameType::kReport)
-            type = FrameType::kJobReport;
-        else if (base == FrameType::kError)
-            type = FrameType::kJobError;
-        queueFrame(type, jobPayload(job_id, body));
-        if (!counted
-            && (base == FrameType::kReport
-                || base == FrameType::kError)) {
-            // A streaming session's final answer retires its id.
-            streams_.erase(job_id);
-        }
-    } else {
-        sequential_wait_ = false;
-        queueFrame(base, body);
+    queueFrame(type, jobPayload(job_id, body));
+    if (!counted
+        && (type == FrameType::kJobReport
+            || type == FrameType::kJobError)) {
+        // Only an upload's own final retires its id: a follower's
+        // final mirrored under the same wire id finds the upload
+        // still running and leaves it alone.
+        const auto it = streams_.find(job_id);
+        if (it != streams_.end() && it->second->finished())
+            streams_.erase(it);
     }
     if (dead_)
         return false;
@@ -192,14 +170,11 @@ Connection::pump()
           case RxState::kControl:
             step = handleControl();
             break;
-          case RxState::kJobPrefix:
-            step = handleJobPrefix();
+          case RxState::kPrefix:
+            step = handlePrefix();
             break;
-          case RxState::kTrace:
-            step = handleTrace();
-            break;
-          case RxState::kStreamData:
-            step = handleStreamData();
+          case RxState::kData:
+            step = handleData();
             break;
           case RxState::kDrain:
             step = handleDrain();
@@ -221,7 +196,17 @@ Connection::handleFrameHeader()
     rxConsume(sizeof(header_));
 
     if (header_.magic != kFrameMagic) {
-        protocolError("bad frame magic");
+        // "HDS" plus another version digit is a client of another
+        // protocol generation, not noise: say which.
+        if (std::memcmp(header_.magic.data(), kFrameMagic.data(), 3)
+                == 0
+            && std::isdigit(static_cast<unsigned char>(
+                header_.magic[3])))
+            protocolError("unsupported protocol version "
+                          + std::string(header_.magic.data(), 4)
+                          + " (this daemon speaks HDS2)");
+        else
+            protocolError("bad frame magic");
         return Step::kMore;
     }
     if (!validFrameType(header_.type)) {
@@ -234,35 +219,29 @@ Connection::handleFrameHeader()
                       + " exceeds protocol limit");
         return Step::kMore;
     }
-    host_.hostMetrics().counter("server.frames_received").add();
+    server_.metrics().counter("server.frames_received").add();
 
     switch (static_cast<FrameType>(header_.type)) {
       case FrameType::kPing:
       case FrameType::kStats:
-      case FrameType::kHello:
-        // HELLO carries a u32 client minor version; the others are
-        // empty (any payload is tolerated and discarded).
-        control_need_ =
-            static_cast<FrameType>(header_.type) == FrameType::kHello
-            ? static_cast<std::size_t>(
-                  std::min<std::uint64_t>(header_.length, 4))
-            : 0;
+        // Empty requests; any payload is tolerated and discarded.
+        need_ = 0;
         state_ = RxState::kControl;
         return Step::kMore;
 
-      case FrameType::kSubmit:
       case FrameType::kSubmitJob:
-        keyed_ = static_cast<FrameType>(header_.type)
-            == FrameType::kSubmitJob;
-        job_id_valid_ = false;
-        prefix_need_ = sizeof(JobOptions)
-            + (keyed_ ? sizeof(std::uint64_t) : 0);
-        if (header_.length < prefix_need_)
-            return rejectJob("submit payload too short for job "
-                             "options",
-                             header_.length);
+        if (header_.length < sizeof(job_id_)) {
+            // No id to key the refusal with: a connection-level ERROR.
+            server_.metrics().counter("server.jobs_invalid").add();
+            queueFrame(FrameType::kError,
+                       jsonError("submit payload too short for its "
+                                 "job id"));
+            return nextFrame(header_.length);
+        }
         job_started_ = Clock::now();
-        state_ = RxState::kJobPrefix;
+        need_ = static_cast<std::size_t>(
+            std::min<std::uint64_t>(header_.length, kJobPrefix));
+        state_ = RxState::kPrefix;
         return Step::kMore;
 
       case FrameType::kSubmitStream:
@@ -277,7 +256,7 @@ Connection::handleFrameHeader()
             protocolError("oversized stream control frame");
             return Step::kMore;
         }
-        control_need_ = static_cast<std::size_t>(header_.length);
+        need_ = static_cast<std::size_t>(header_.length);
         state_ = RxState::kControl;
         return Step::kMore;
       }
@@ -287,7 +266,7 @@ Connection::handleFrameHeader()
             protocolError("short SUBMIT_END frame");
             return Step::kMore;
         }
-        control_need_ = sizeof(std::uint64_t);
+        need_ = sizeof(std::uint64_t);
         state_ = RxState::kControl;
         return Step::kMore;
 
@@ -296,9 +275,8 @@ Connection::handleFrameHeader()
             protocolError("short SUBMIT_DATA frame");
             return Step::kMore;
         }
-        stream_data_left_ = header_.length;
-        stream_id_parsed_ = false;
-        state_ = RxState::kStreamData;
+        need_ = sizeof(std::uint64_t);
+        state_ = RxState::kPrefix;
         return Step::kMore;
 
       default:
@@ -312,199 +290,23 @@ Connection::handleFrameHeader()
 Connection::Step
 Connection::handleControl()
 {
-    if (rxAvailable() < control_need_)
+    if (rxAvailable() < need_)
         return Step::kBlocked;
-    const auto type = static_cast<FrameType>(header_.type);
-    if (type == FrameType::kSubmitStream
-        || type == FrameType::kSubmitEnd
-        || type == FrameType::kAttach)
-        return handleStreamControl();
-    if (type == FrameType::kHello && control_need_ >= 4) {
-        std::uint32_t client_minor = 0;
-        std::memcpy(&client_minor, rxData(), sizeof(client_minor));
-        // Informational: every 1.x client speaks a subset of what
-        // this server answers, so nothing to negotiate down.
-    }
-    rxConsume(control_need_);
-    const std::uint64_t leftover = header_.length - control_need_;
+    const std::string payload(rxData(), need_);
+    rxConsume(need_);
+    const std::uint64_t leftover = header_.length - need_;
 
-    switch (type) {
+    switch (static_cast<FrameType>(header_.type)) {
       case FrameType::kPing:
         queueFrame(FrameType::kPong,
                    std::string("{\"status\": \"ok\"}\n"));
         break;
+
       case FrameType::kStats:
-        host_.hostMetrics().counter("server.stats_requests").add();
-        queueFrame(FrameType::kStatsReply, host_.statsJson());
+        server_.metrics().counter("server.stats_requests").add();
+        queueFrame(FrameType::kStatsReply, server_.metrics().toJson());
         break;
-      case FrameType::kHello:
-        host_.hostMetrics().counter("server.hello_requests").add();
-        queueFrame(FrameType::kHelloReply, host_.helloJson());
-        break;
-      default:
-        break;
-    }
-    if (dead_)
-        return Step::kFatal;
-    if (leftover > kDrainCap) {
-        // Implausible control payload: answer, then hang up.
-        closing_ = true;
-        return Step::kMore;
-    }
-    drain_left_ = leftover;
-    state_ = leftover > 0 ? RxState::kDrain : RxState::kFrameHeader;
-    return Step::kMore;
-}
 
-Connection::Step
-Connection::handleJobPrefix()
-{
-    if (rxAvailable() < prefix_need_)
-        return Step::kBlocked;
-    const char *p = rxData();
-    if (keyed_) {
-        std::memcpy(&job_id_, p, sizeof(job_id_));
-        p += sizeof(job_id_);
-        job_id_valid_ = true;
-    }
-    std::memcpy(&options_, p, sizeof(options_));
-    rxConsume(prefix_need_);
-    trace_total_ = header_.length - prefix_need_;
-
-    std::string err;
-    if (!validateJobOptions(options_, err))
-        return rejectJob(err, trace_total_);
-    if (trace_total_ > host_.maxTraceBytes()) {
-        host_.hostMetrics().counter("server.jobs_invalid").add();
-        // A body past the server limit is never worth draining.
-        protocolError("trace exceeds server limit of "
-                      + std::to_string(host_.maxTraceBytes())
-                      + " bytes");
-        return Step::kMore;
-    }
-
-    source_.reset();
-    reader_.emplace(source_, trace_total_);
-    header_done_ = false;
-    building_.clear();
-    state_ = RxState::kTrace;
-    return Step::kMore;
-}
-
-Connection::Step
-Connection::handleTrace()
-{
-    Metrics &metrics = host_.hostMetrics();
-
-    if (!header_done_) {
-        // Validate the header the moment its bytes are in — a bad
-        // trace is refused before one record byte is buffered. The
-        // reader reads at most min(total, sizeof header) bytes here.
-        const std::uint64_t gate = std::min<std::uint64_t>(
-            trace_total_, sizeof(trace::TraceHeader));
-        if (rxAvailable() < gate)
-            return Step::kBlocked;
-        if (!reader_->readHeader()) {
-            metrics.counter("server.traces_rejected").add();
-            return rejectJob("trace rejected: " + reader_->error(),
-                             trace_total_ - source_.consumed());
-        }
-        header_done_ = true;
-        building_.assign(reader_->nthreads(), {});
-    }
-
-    // Decode whole records as they arrive; partial records stay
-    // buffered until their remaining bytes land.
-    trace::TraceRecord batch[kBatch];
-    while (!reader_->done()) {
-        const std::uint64_t avail = std::min<std::uint64_t>(
-            rxAvailable(), trace_total_ - source_.consumed());
-        const std::size_t want = static_cast<std::size_t>(
-            std::min<std::uint64_t>(
-                kBatch, avail / sizeof(trace::TraceRecord)));
-        if (want == 0)
-            return Step::kBlocked;
-        const std::size_t got = reader_->next(batch, want);
-        if (got == 0) {
-            if (!reader_->error().empty()) {
-                metrics.counter("server.traces_rejected").add();
-                return rejectJob(
-                    "trace rejected: " + reader_->error(),
-                    trace_total_ - source_.consumed());
-            }
-            break;
-        }
-        for (std::size_t i = 0; i < got; ++i)
-            building_[batch[i].tid].push_back(batch[i].toOp());
-    }
-    if (!reader_->done()) {
-        // Defensive: a healthy reader with every byte consumed is
-        // done; anything else is a parser invariant violation.
-        metrics.counter("server.traces_rejected").add();
-        return rejectJob("trace rejected: inconsistent stream state",
-                         trace_total_ - source_.consumed());
-    }
-    return finishTrace();
-}
-
-Connection::Step
-Connection::finishTrace()
-{
-    Metrics &metrics = host_.hostMetrics();
-    metrics.counter("server.trace_bytes_received").add(trace_total_);
-    metrics.histogram("job.trace_read_us")
-        .record(usSince(job_started_, Clock::now()));
-
-    auto data = std::make_shared<trace::TraceData>(
-        trace::TraceData::fromOps(reader_->name(),
-                                  std::move(building_)));
-    data->setFaultSpec(reader_->faultSpec());
-    building_.clear();
-
-    // Resolve the fault spec exactly like `hdrd_sim --replay`: an
-    // explicit override wins, else the trace's recorded spec unless
-    // the client opted out.
-    std::string spec(options_.fault_spec.data());
-    if (spec.empty() && !(options_.flags & kJobIgnoreTraceFaults))
-        spec = data->faultSpec();
-    pmu::FaultConfig fault_config;
-    std::string err;
-    if (!spec.empty() && spec != "none"
-        && !pmu::resolveFaultSpec(spec, fault_config, err))
-        return rejectJob("trace carries unusable fault spec: " + err,
-                         0);
-
-    const DispatchOutcome outcome = host_.dispatchJob(
-        *this, keyed_, job_id_, options_, std::move(data),
-        fault_config);
-    if (!outcome.accepted) {
-        queueFrame(keyed_ ? FrameType::kJobBusy : FrameType::kBusy,
-                   keyed_ ? jobPayload(job_id_, outcome.busy_json)
-                          : outcome.busy_json);
-        if (dead_)
-            return Step::kFatal;
-    } else {
-        ++in_flight_;
-        if (!keyed_) {
-            // HDS1.0 sequential semantics: nothing further is parsed
-            // until this SUBMIT's response has been queued.
-            sequential_wait_ = true;
-        }
-    }
-    resetFrame();
-    state_ = RxState::kFrameHeader;
-    return Step::kMore;
-}
-
-Connection::Step
-Connection::handleStreamControl()
-{
-    std::string payload(rxData(), control_need_);
-    rxConsume(control_need_);
-    const std::uint64_t leftover = header_.length - control_need_;
-    const auto type = static_cast<FrameType>(header_.type);
-
-    switch (type) {
       case FrameType::kSubmitStream: {
         std::uint64_t job_id = 0;
         std::string name;
@@ -515,7 +317,7 @@ Connection::handleStreamControl()
             return Step::kMore;
         }
         if (!validateJobOptions(options, err)) {
-            host_.hostMetrics().counter("server.jobs_invalid").add();
+            server_.metrics().counter("server.jobs_invalid").add();
             queueFrame(FrameType::kJobError,
                        jobPayload(job_id, jsonError(err)));
         } else if (streams_.count(job_id) != 0) {
@@ -526,7 +328,7 @@ Connection::handleStreamControl()
                                             "connection")));
         } else {
             StreamOpenOutcome outcome =
-                host_.streamOpen(*this, job_id, name, options);
+                server_.streamOpen(*this, job_id, name, options);
             if (outcome.session == nullptr)
                 queueFrame(outcome.busy ? FrameType::kJobBusy
                                         : FrameType::kJobError,
@@ -560,74 +362,118 @@ Connection::handleStreamControl()
         }
         queueFrame(FrameType::kAttachReply,
                    jobPayload(follow_id,
-                              host_.streamAttach(*this, follow_id,
-                                                 name)));
+                              server_.streamAttach(*this, follow_id,
+                                                   name)));
         break;
       }
 
       default:
         break;
     }
-
     if (dead_)
         return Step::kFatal;
-    if (leftover > kDrainCap) {
-        closing_ = true;
-        return Step::kMore;
-    }
-    drain_left_ = leftover;
-    state_ = leftover > 0 ? RxState::kDrain : RxState::kFrameHeader;
-    if (leftover == 0)
-        resetFrame();
-    return Step::kMore;
+    return nextFrame(leftover);
 }
 
 Connection::Step
-Connection::handleStreamData()
+Connection::handlePrefix()
 {
-    if (!stream_id_parsed_) {
-        if (rxAvailable() < sizeof(std::uint64_t))
-            return Step::kBlocked;
-        std::uint64_t job_id = 0;
-        std::memcpy(&job_id, rxData(), sizeof(job_id));
-        rxConsume(sizeof(job_id));
-        stream_data_left_ -= sizeof(job_id);
-        stream_id_parsed_ = true;
-        const auto it = streams_.find(job_id);
+    if (rxAvailable() < need_)
+        return Step::kBlocked;
+    std::memcpy(&job_id_, rxData(), sizeof(job_id_));
+
+    if (static_cast<FrameType>(header_.type) == FrameType::kSubmitData) {
+        rxConsume(sizeof(job_id_));
+        const std::uint64_t left = header_.length - sizeof(job_id_);
+        const auto it = streams_.find(job_id_);
         if (it == streams_.end()) {
             // The session already answered and retired (e.g. a
             // rejected trace) while the client kept uploading within
             // its credit; discard the remainder to keep framing.
-            drain_left_ = stream_data_left_;
-            stream_data_left_ = 0;
-            state_ = drain_left_ > 0 ? RxState::kDrain
-                                     : RxState::kFrameHeader;
-            if (drain_left_ == 0)
-                resetFrame();
-            return Step::kMore;
+            return nextFrame(left);
         }
-        data_stream_ = it->second;
+        session_ = it->second;
+        data_left_ = left;
+        state_ = RxState::kData;
+        return Step::kMore;
     }
 
-    while (stream_data_left_ > 0) {
+    if (header_.length < kJobPrefix) {
+        rxConsume(need_);
+        return invalidJob("submit payload too short for job options",
+                          0);
+    }
+    JobOptions options;
+    std::memcpy(&options, rxData() + sizeof(job_id_), sizeof(options));
+    rxConsume(kJobPrefix);
+    const std::uint64_t trace_bytes = header_.length - kJobPrefix;
+
+    std::string err;
+    if (!validateJobOptions(options, err))
+        return invalidJob(err, trace_bytes);
+    if (trace_bytes > server_.config().max_trace_bytes) {
+        server_.metrics().counter("server.jobs_invalid").add();
+        // A body past the server limit is never worth draining.
+        protocolError("trace exceeds server limit of "
+                      + std::to_string(server_.config().max_trace_bytes)
+                      + " bytes");
+        return Step::kMore;
+    }
+    session_ = server_.openJob(job_id_, options, trace_bytes);
+    data_left_ = trace_bytes;
+    state_ = RxState::kData;
+    return Step::kMore;
+}
+
+Connection::Step
+Connection::handleData()
+{
+    const bool job =
+        static_cast<FrameType>(header_.type) == FrameType::kSubmitJob;
+    while (data_left_ > 0) {
         const std::size_t take = static_cast<std::size_t>(
-            std::min<std::uint64_t>(rxAvailable(),
-                                    stream_data_left_));
+            std::min<std::uint64_t>(rxAvailable(), data_left_));
         if (take == 0)
             return Step::kBlocked;
         std::string err;
-        if (!data_stream_->feed(rxData(), take, err)) {
+        if (!session_->feed(rxData(), take, err)) {
             protocolError(err);
             return Step::kMore;
         }
-        host_.hostMetrics().counter("stream.bytes_received")
+        server_.metrics().counter("server.trace_bytes_received")
             .add(take);
         rxConsume(take);
-        stream_data_left_ -= take;
+        data_left_ -= take;
+        if (job) {
+            // A bad trace is refused the moment it shows, before the
+            // rest of its body is buffered.
+            const std::string error = session_->error();
+            if (!error.empty())
+                return rejectJob(error, data_left_);
+        }
     }
-    resetFrame();
-    state_ = RxState::kFrameHeader;
-    return Step::kMore;
+    return job ? finishJob() : nextFrame(0);
+}
+
+Connection::Step
+Connection::finishJob()
+{
+    session_->end();
+    const std::string error = session_->error();
+    if (!error.empty())
+        return rejectJob(error, 0);
+    server_.metrics().histogram("job.trace_read_us")
+        .record(usSince(job_started_, Clock::now()));
+
+    const std::string busy =
+        server_.dispatchJob(*this, job_id_, std::move(session_));
+    if (busy.empty())
+        ++in_flight_;
+    else
+        queueFrame(FrameType::kJobBusy, jobPayload(job_id_, busy));
+    if (dead_)
+        return Step::kFatal;
+    return nextFrame(0);
 }
 
 Connection::Step
@@ -639,7 +485,6 @@ Connection::handleDrain()
     drain_left_ -= take;
     if (drain_left_ > 0)
         return Step::kBlocked;
-    resetFrame();
     state_ = RxState::kFrameHeader;
     return Step::kMore;
 }
@@ -648,23 +493,38 @@ Connection::Step
 Connection::rejectJob(const std::string &message,
                       std::uint64_t leftover)
 {
-    host_.hostMetrics().counter("server.jobs_invalid").add();
     if (leftover > kDrainCap) {
         // Too much unread payload to be worth discarding.
         protocolError(message);
         return Step::kMore;
     }
-    if (keyed_ && job_id_valid_)
-        queueFrame(FrameType::kJobError,
-                   jobPayload(job_id_, jsonError(message)));
-    else
-        queueFrame(FrameType::kError, jsonError(message));
+    queueFrame(FrameType::kJobError,
+               jobPayload(job_id_, jsonError(message)));
     if (dead_)
         return Step::kFatal;
+    return nextFrame(leftover);
+}
+
+Connection::Step
+Connection::invalidJob(const std::string &message,
+                       std::uint64_t leftover)
+{
+    server_.metrics().counter("server.jobs_invalid").add();
+    return rejectJob(message, leftover);
+}
+
+Connection::Step
+Connection::nextFrame(std::uint64_t leftover)
+{
+    session_.reset();
+    data_left_ = 0;
+    if (leftover > kDrainCap) {
+        // Implausible payload: answer, then hang up.
+        closing_ = true;
+        return Step::kMore;
+    }
     drain_left_ = leftover;
     state_ = leftover > 0 ? RxState::kDrain : RxState::kFrameHeader;
-    if (leftover == 0)
-        resetFrame();
     return Step::kMore;
 }
 
@@ -716,25 +576,6 @@ Connection::flushOut()
             outbox_.pop_front();
     }
     return true;
-}
-
-void
-Connection::resetFrame()
-{
-    keyed_ = false;
-    job_id_valid_ = false;
-    job_id_ = 0;
-    prefix_need_ = 0;
-    control_need_ = 0;
-    trace_total_ = 0;
-    header_done_ = false;
-    reader_.reset();
-    source_.reset();
-    building_.clear();
-    drain_left_ = 0;
-    data_stream_.reset();
-    stream_data_left_ = 0;
-    stream_id_parsed_ = false;
 }
 
 } // namespace hdrd::service

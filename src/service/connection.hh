@@ -2,26 +2,24 @@
  * @file
  * The per-connection protocol state machine of the epoll I/O plane.
  *
- * A Connection owns one non-blocking client socket and parses HDS1
- * frames incrementally from whatever bytes have arrived: frame
- * header, job prefix (options, and the job id for pipelined
- * SUBMIT_JOB frames), then the trace body, which streams straight
- * into the incremental trace::TraceReader in chunks — the TRC2
- * header is validated as soon as its bytes are in, records are
- * decoded batch-by-batch as they arrive, and the daemon never holds
- * a complete trace image in a socket buffer.
+ * A Connection owns one non-blocking client socket and parses HDS2
+ * frames incrementally from whatever bytes have arrived. Trace bytes
+ * never collect in a socket buffer: a SUBMIT_JOB frame's body and
+ * each SUBMIT_DATA chunk go straight into a stream::StreamSession,
+ * which validates the TRC2 header the moment its bytes are in and
+ * decodes records as they land. A SUBMIT_JOB is a session that gets
+ * one data chunk and an end; the connection hands it to the worker
+ * pool at the frame's last byte.
  *
  * Writes are asymmetric: responses go to an outbound queue flushed
  * opportunistically and on EPOLLOUT, so a slow or stalled reader can
  * never block the shard thread (it just accumulates its own bounded
  * backlog of at most max-pipeline responses).
  *
- * Flow control is interest-mask based, not thread-blocking:
- *  - a classic SUBMIT pauses reading until its response is queued
- *    (sequential request/response semantics, exactly HDS1.0);
- *  - pipelined SUBMIT_JOB frames keep reading until the per-
- *    connection in-flight cap, then reading pauses and TCP
- *    backpressure holds the client until completions free slots.
+ * Flow control is interest-mask based, not thread-blocking: SUBMIT_JOB
+ * frames keep reading until the per-connection in-flight cap, then
+ * reading pauses and TCP backpressure holds the client until
+ * completions free slots.
  *
  * The Connection runs entirely on its shard thread; the only
  * cross-thread artifact is the liveness token workers check before
@@ -37,13 +35,9 @@
 #include <deque>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
-#include <vector>
 
-#include "pmu/faults.hh"
 #include "service/protocol.hh"
-#include "trace/trace_io.hh"
 
 namespace hdrd::stream
 {
@@ -53,86 +47,7 @@ class StreamSession;
 namespace hdrd::service
 {
 
-class Connection;
-class Metrics;
-
-/** Verdict of a job handoff to the worker pool. */
-struct DispatchOutcome
-{
-    /** Admitted; the response will be delivered asynchronously. */
-    bool accepted = false;
-
-    /** BUSY reply payload when refused (queue full / stopping). */
-    std::string busy_json;
-};
-
-/** Verdict of a streaming-submission open (HDS1.2). */
-struct StreamOpenOutcome
-{
-    /** The live session to feed; null when refused. */
-    std::shared_ptr<stream::StreamSession> session;
-
-    /** Refused for capacity (JOB_BUSY) rather than error. */
-    bool busy = false;
-
-    /** Refusal payload (busy or error JSON) when session is null. */
-    std::string refusal_json;
-};
-
-/**
- * What a Connection needs from the daemon around it. Implemented by
- * Server; mocked by the unit tests.
- */
-class ConnectionHost
-{
-  public:
-    virtual ~ConnectionHost() = default;
-
-    /**
-     * Hand a fully received, validated job to the worker pool.
-     * @param keyed true for SUBMIT_JOB (job-id-correlated response)
-     */
-    virtual DispatchOutcome dispatchJob(
-        Connection &conn, bool keyed, std::uint64_t job_id,
-        const JobOptions &options,
-        std::shared_ptr<trace::TraceData> data,
-        const pmu::FaultConfig &faults) = 0;
-
-    /**
-     * Open a streaming submission (HDS1.2 SUBMIT_STREAM). On
-     * success the returned session is already started (its initial
-     * CREDIT is on its way as a completion) and the connection feeds
-     * it SUBMIT_DATA bytes directly.
-     */
-    virtual StreamOpenOutcome streamOpen(
-        Connection &conn, std::uint64_t job_id,
-        const std::string &name, const JobOptions &options) = 0;
-
-    /**
-     * Follow a live streaming session by name (HDS1.2 ATTACH).
-     * @return the ATTACH_REPLY status JSON; on success the host
-     *         mirrors the session's subsequent partials and final to
-     *         this connection keyed by @p follow_id.
-     */
-    virtual std::string streamAttach(Connection &conn,
-                                     std::uint64_t follow_id,
-                                     const std::string &name) = 0;
-
-    /** The STATS reply payload. */
-    virtual std::string statsJson() = 0;
-
-    /** The HELLO reply payload (protocol level, limits). */
-    virtual std::string helloJson() = 0;
-
-    /** Shared observability registry. */
-    virtual Metrics &hostMetrics() = 0;
-
-    /** Largest accepted trace payload. */
-    virtual std::uint64_t maxTraceBytes() const = 0;
-
-    /** Per-connection in-flight pipelined job cap. */
-    virtual std::uint32_t maxPipeline() const = 0;
-};
+class Server;
 
 class Connection
 {
@@ -141,7 +56,7 @@ class Connection
      * Adopt @p fd (set non-blocking by the caller).
      * @param id the shard-unique tag used in the event loop
      */
-    Connection(int fd, std::uint64_t id, ConnectionHost &host);
+    Connection(int fd, std::uint64_t id, Server &server);
 
     /** Closes the socket and invalidates the liveness token. */
     ~Connection();
@@ -163,21 +78,16 @@ class Connection
     bool onWritable();
 
     /**
-     * Deliver a completed job's response (shard thread, from the
-     * completion inbox). Unpauses sequential/pipelined reading and
-     * resumes parsing any already-buffered frames.
+     * Deliver a job-keyed response (shard thread, from the
+     * completion inbox) and resume parsing any already-buffered
+     * frames.
      * @param counted true for worker-pool jobs occupying an
      *        in-flight slot; false for streaming-session events
-     *        (CREDIT, JOB_PARTIAL, and stream finals), which never
-     *        counted against the pipeline cap
-     * @param base kReport or kError (mapped to the job-keyed type
-     *        when the submit was pipelined), or an already-keyed
-     *        HDS1.2 type (kCredit/kJobPartial/kAttachReply) passed
-     *        through verbatim
+     *        (CREDIT, JOB_PARTIAL, and stream finals)
      * @return false when the connection must be dropped.
      */
-    bool deliver(bool counted, bool keyed, std::uint64_t job_id,
-                 FrameType base, std::string body);
+    bool deliver(bool counted, std::uint64_t job_id, FrameType type,
+                 std::string body);
 
     /** Current epoll interest mask (EPOLLIN/EPOLLOUT bits). */
     std::uint32_t interest() const;
@@ -198,8 +108,6 @@ class Connection
         return in_flight_ == 0 && outbox_.empty();
     }
 
-    std::uint32_t inFlight() const { return in_flight_; }
-
     /**
      * Liveness token shared with dispatched jobs: cleared when the
      * connection dies so workers skip abandoned work.
@@ -213,10 +121,9 @@ class Connection
     enum class RxState
     {
         kFrameHeader,   ///< accumulating the 16-byte frame header
-        kControl,       ///< PING/STATS/HELLO payload prefix
-        kJobPrefix,     ///< job id (keyed) + JobOptions
-        kTrace,         ///< streaming the TRC2 body into the reader
-        kStreamData,    ///< forwarding SUBMIT_DATA into a session
+        kControl,       ///< a small request payload, whole
+        kPrefix,        ///< job id (+ JobOptions for SUBMIT_JOB)
+        kData,          ///< feeding trace bytes into a session
         kDrain,         ///< discarding a rejected payload remainder
     };
 
@@ -226,22 +133,6 @@ class Connection
         kMore,      ///< progressed; run the machine again
         kBlocked,   ///< needs more input (or is flow-paused)
         kFatal,     ///< unrecoverable; drop the connection now
-    };
-
-    /** trace::ByteSource over the connection's receive buffer. */
-    class BufSource : public trace::ByteSource
-    {
-      public:
-        explicit BufSource(Connection &conn) : conn_(conn) {}
-        std::size_t read(char *dst, std::size_t n) override;
-
-        /** Trace bytes handed to the reader so far. */
-        std::uint64_t consumed() const { return consumed_; }
-        void reset() { consumed_ = 0; }
-
-      private:
-        Connection &conn_;
-        std::uint64_t consumed_ = 0;
     };
 
     /** Bytes buffered but not yet consumed by the state machine. */
@@ -258,24 +149,25 @@ class Connection
 
     Step handleFrameHeader();
     Step handleControl();
-    Step handleJobPrefix();
-    Step handleTrace();
-    Step handleStreamData();
+    Step handlePrefix();
+    Step handleData();
     Step handleDrain();
 
-    /** SUBMIT_STREAM / SUBMIT_END / ATTACH (small control frames). */
-    Step handleStreamControl();
-
-    /** Completed trace: resolve faults and dispatch the job. */
-    Step finishTrace();
+    /** SUBMIT_JOB's last byte arrived: hand the job to the pool. */
+    Step finishJob();
 
     /**
-     * Queue an ERROR (job-keyed when applicable), then discard
-     * @p leftover payload bytes to keep framing; an implausibly
-     * large leftover closes the connection instead.
+     * Queue the current job's JOB_ERROR, then discard @p leftover
+     * payload bytes to keep framing; an implausibly large leftover
+     * closes the connection instead.
      */
-    Step rejectJob(const std::string &message,
-                   std::uint64_t leftover);
+    Step rejectJob(const std::string &message, std::uint64_t leftover);
+
+    /** rejectJob() counting a refused submission. */
+    Step invalidJob(const std::string &message, std::uint64_t leftover);
+
+    /** Continue with the next frame after @p leftover drain bytes. */
+    Step nextFrame(std::uint64_t leftover);
 
     /** Queue a fatal protocol error and close once it flushes. */
     void protocolError(const std::string &message);
@@ -285,12 +177,9 @@ class Connection
     /** Write as much of the outbox as the socket accepts. */
     bool flushOut();
 
-    /** Reset per-job parse fields for the next frame. */
-    void resetFrame();
-
     int fd_;
     std::uint64_t id_;
-    ConnectionHost &host_;
+    Server &server_;
     std::shared_ptr<std::atomic<bool>> token_;
 
     // --- inbound ---
@@ -299,43 +188,27 @@ class Connection
     RxState state_ = RxState::kFrameHeader;
     FrameHeader header_{};
 
-    /** Control-frame fields. */
-    std::size_t control_need_ = 0;
+    /** Bytes the kControl/kPrefix step waits for. */
+    std::size_t need_ = 0;
 
-    /** Submit-frame fields. */
-    bool keyed_ = false;
-    bool job_id_valid_ = false;
+    /** Wire id of the current SUBMIT_JOB / SUBMIT_DATA frame. */
     std::uint64_t job_id_ = 0;
-    JobOptions options_{};
-    std::size_t prefix_need_ = 0;
-
-    /** Trace-streaming fields. */
-    BufSource source_{*this};
-    std::optional<trace::TraceReader> reader_;
-    bool header_done_ = false;
-    std::uint64_t trace_total_ = 0;
-    std::vector<std::vector<runtime::Op>> building_;
     std::chrono::steady_clock::time_point job_started_{};
 
-    /** Drain fields. */
+    /** Session the current frame's trace bytes feed. */
+    std::shared_ptr<stream::StreamSession> session_;
+    std::uint64_t data_left_ = 0;
+
     std::uint64_t drain_left_ = 0;
 
     /**
      * Live streaming sessions this connection is uploading, keyed by
-     * wire job id; entries retire when the final response delivers.
+     * wire job id; an entry retires when its own final delivers.
      * The destructor aborts whatever is still running, so a client
      * that hangs up mid-stream reclaims its session promptly.
      */
     std::map<std::uint64_t,
              std::shared_ptr<stream::StreamSession>> streams_;
-
-    /** Target of the SUBMIT_DATA frame currently being forwarded. */
-    std::shared_ptr<stream::StreamSession> data_stream_;
-    std::uint64_t stream_data_left_ = 0;
-    bool stream_id_parsed_ = false;
-
-    /** Sequential SUBMIT awaiting its response. */
-    bool sequential_wait_ = false;
 
     std::uint32_t in_flight_ = 0;
     bool closing_ = false;

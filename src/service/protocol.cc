@@ -15,21 +15,17 @@ bool
 validFrameType(std::uint32_t type)
 {
     switch (static_cast<FrameType>(type)) {
-      case FrameType::kSubmit:
       case FrameType::kStats:
       case FrameType::kPing:
       case FrameType::kSubmitJob:
-      case FrameType::kHello:
       case FrameType::kSubmitStream:
       case FrameType::kSubmitData:
       case FrameType::kSubmitEnd:
       case FrameType::kAttach:
-      case FrameType::kReport:
       case FrameType::kBusy:
       case FrameType::kError:
       case FrameType::kStatsReply:
       case FrameType::kPong:
-      case FrameType::kHelloReply:
       case FrameType::kJobReport:
       case FrameType::kJobBusy:
       case FrameType::kJobError:

@@ -11,73 +11,61 @@
  *     +--------+--------+----------------+----------------------+
  *
  * Requests:
- *   SUBMIT      payload = JobOptions (fixed 168 bytes) followed by a
- *               complete TRC2 trace image (header + records). The
- *               server parses the trace header first and rejects a
- *               bad trace before buffering its body. Sequential
- *               semantics: the connection carries one SUBMIT at a
- *               time and its response arrives before the next frame
- *               is processed.
- *   SUBMIT_JOB  (HDS1.1) payload = u64 job id + JobOptions + TRC2
- *               image. Pipelined semantics: a client may have many
- *               SUBMIT_JOB frames in flight on one connection; each
- *               response carries the job id back, and responses may
- *               arrive in completion order, not submission order.
+ *   SUBMIT_JOB  payload = u64 job id + JobOptions (fixed 168 bytes)
+ *               + a complete TRC2 trace image. The server validates
+ *               the trace header as soon as its bytes arrive and
+ *               rejects a bad trace before buffering its body. A
+ *               client may keep many SUBMIT_JOB frames in flight on
+ *               one connection; each gets exactly one keyed answer
+ *               (JOB_REPORT, JOB_BUSY or JOB_ERROR), in completion
+ *               order, not submission order.
  *   STATS       empty payload; answered with STATS_REPLY.
  *   PING        empty payload; answered with PONG.
- *   HELLO       (HDS1.1) payload = u32 client minor version;
- *               answered with HELLO_REPLY describing the server's
- *               protocol level and pipelining limits.
- *   SUBMIT_STREAM (HDS1.2) payload = u64 job id + u32 session-name
- *               length + name bytes + JobOptions. Opens a streaming
+ *   SUBMIT_STREAM payload = u64 job id + u32 session-name length +
+ *               name bytes + JobOptions. Opens a streaming
  *               submission: the trace image follows as SUBMIT_DATA
  *               chunks instead of riding in one frame. Answered
  *               immediately with CREDIT granting the initial upload
  *               window; analysis runs concurrently with ingestion
  *               and emits JOB_PARTIAL reports, then the final
- *               JOB_REPORT (byte-identical to the buffered path).
- *   SUBMIT_DATA (HDS1.2) payload = u64 job id + raw trace bytes.
- *               A client must not exceed its granted credit; chunk
- *               boundaries are arbitrary (they may split the trace
- *               header or a record anywhere).
- *   SUBMIT_END  (HDS1.2) payload = u64 job id. No further data; the
- *               final JOB_REPORT (or JOB_ERROR) follows once the
- *               engine drains the session.
- *   ATTACH      (HDS1.2) payload = u64 follow id + u32 session-name
- *               length + name bytes. Follows a live streaming
- *               session read-only: answered with ATTACH_REPLY, then
- *               every subsequent JOB_PARTIAL and the final
- *               JOB_REPORT are mirrored to this connection keyed by
- *               the follow id.
+ *               JOB_REPORT (byte-identical to SUBMIT_JOB's).
+ *   SUBMIT_DATA payload = u64 job id + raw trace bytes. A client
+ *               must not exceed its granted credit; chunk boundaries
+ *               are arbitrary (they may split the trace header or a
+ *               record anywhere).
+ *   SUBMIT_END  payload = u64 job id. No further data; the final
+ *               JOB_REPORT (or JOB_ERROR) follows once the engine
+ *               drains the session.
+ *   ATTACH      payload = u64 follow id + u32 session-name length +
+ *               name bytes. Follows a live streaming session
+ *               read-only: answered with ATTACH_REPLY, then every
+ *               subsequent JOB_PARTIAL and the final JOB_REPORT are
+ *               mirrored to this connection keyed by the follow id.
  *
- * Responses (payloads are UTF-8 JSON):
- *   REPORT       the deterministic race report (hdrd-report-v1).
- *   BUSY         {"status":"busy","retry_after_ms":N,...} — bounded
- *                backpressure: the queue was full, try again later.
- *   ERROR        {"status":"error","error":"..."}.
+ * Responses (JSON payloads, job-keyed ones behind a u64 id):
+ *   BUSY / ERROR connection-level answers, never about one job: the
+ *                connection limit ({"status":"busy",
+ *                "retry_after_ms":N,...}, then a close), a malformed
+ *                frame ({"status":"error","error":"..."}, then a
+ *                close), or a SUBMIT_JOB too short to carry its id.
  *   STATS_REPLY  the hdrd-metrics-v1 snapshot.
  *   PONG         {"status":"ok"}.
- *   HELLO_REPLY  {"status":"ok","protocol":"HDS1.1",...}.
- *   JOB_REPORT / JOB_BUSY / JOB_ERROR
- *                (HDS1.1) u64 job id + the corresponding JSON;
- *                answers to SUBMIT_JOB (and, 1.2, the final answer
- *                to a streaming submission or followed session).
- *   CREDIT       (HDS1.2) u64 job id + u64 granted bytes. Flow
- *                control for SUBMIT_DATA: grants are cumulative and
- *                sized so a session's buffered-but-unanalyzed bytes
- *                stay under the server's per-session cap — the
- *                streaming replacement for BUSY-rejecting a whole
- *                job on memory pressure.
- *   JOB_PARTIAL  (HDS1.2) u64 id + hdrd-report-partial-v1 JSON: a
- *                byte-stable prefix-consistent snapshot of the
- *                final report, emitted every partial-interval ops.
- *   ATTACH_REPLY (HDS1.2) u64 follow id + status JSON.
+ *   JOB_REPORT   the deterministic race report (hdrd-report-v1).
+ *   JOB_BUSY     bounded backpressure: the queue was full, retry
+ *                after retry_after_ms.
+ *   JOB_ERROR    the job was refused (bad options, bad trace).
+ *   CREDIT       u64 granted bytes. Flow control for SUBMIT_DATA:
+ *                grants are cumulative and sized so a session's
+ *                buffered-but-unanalyzed bytes stay under the
+ *                server's per-session cap.
+ *   JOB_PARTIAL  hdrd-report-partial-v1 JSON: a byte-stable
+ *                prefix-consistent snapshot of the final report,
+ *                emitted every partial-interval ops.
+ *   ATTACH_REPLY status JSON.
  *
- * All integers little-endian, matching the TRC2 trace format. The
- * magic stays "HDS1" across minor versions: every HDS1.0 frame is a
- * valid HDS1.2 frame with identical semantics, and a 1.2 server
- * serves 1.0/1.1 clients unchanged. HELLO lets a client discover
- * whether the minor-version frames are available before using them.
+ * All integers little-endian, matching the TRC2 trace format. A
+ * frame carrying the retired HDS1 magic is answered with an ERROR
+ * naming the version, then the connection closes.
  */
 
 #ifndef HDRD_SERVICE_PROTOCOL_HH
@@ -90,43 +78,30 @@
 namespace hdrd::service
 {
 
-/** Frame magic: "HDS" plus the protocol major version byte. */
-constexpr std::array<char, 4> kFrameMagic = {'H', 'D', 'S', '1'};
-
-/**
- * Protocol minor version. 0 = the original sequential
- * request/response protocol; 1 adds HELLO negotiation and pipelined
- * SUBMIT_JOB frames with job-id-correlated responses; 2 adds
- * streaming submissions (SUBMIT_STREAM/SUBMIT_DATA/SUBMIT_END with
- * CREDIT flow control and JOB_PARTIAL reports) and ATTACH follows.
- */
-constexpr std::uint32_t kProtocolMinor = 2;
+/** Frame magic: "HDS" plus the protocol version byte. */
+constexpr std::array<char, 4> kFrameMagic = {'H', 'D', 'S', '2'};
 
 /** Frame types. Requests below 100, responses at or above. */
 enum class FrameType : std::uint32_t
 {
-    kSubmit = 1,
     kStats = 2,
     kPing = 3,
-    kSubmitJob = 4,  ///< HDS1.1: u64 job id + JobOptions + trace
-    kHello = 5,      ///< HDS1.1: u32 client minor version
-    kSubmitStream = 6,  ///< HDS1.2: u64 id + name + JobOptions
-    kSubmitData = 7,    ///< HDS1.2: u64 id + raw trace bytes
-    kSubmitEnd = 8,     ///< HDS1.2: u64 id
-    kAttach = 9,        ///< HDS1.2: u64 follow id + session name
+    kSubmitJob = 4,     ///< u64 job id + JobOptions + trace
+    kSubmitStream = 6,  ///< u64 id + name + JobOptions
+    kSubmitData = 7,    ///< u64 id + raw trace bytes
+    kSubmitEnd = 8,     ///< u64 id
+    kAttach = 9,        ///< u64 follow id + session name
 
-    kReport = 100,
-    kBusy = 101,
-    kError = 102,
+    kBusy = 101,        ///< connection-level refusal
+    kError = 102,       ///< connection-level error
     kStatsReply = 103,
     kPong = 104,
-    kHelloReply = 105,
-    kJobReport = 106,  ///< HDS1.1: u64 job id + hdrd-report-v1
-    kJobBusy = 107,    ///< HDS1.1: u64 job id + busy JSON
-    kJobError = 108,   ///< HDS1.1: u64 job id + error JSON
-    kCredit = 109,      ///< HDS1.2: u64 id + u64 granted bytes
-    kJobPartial = 110,  ///< HDS1.2: u64 id + partial-report JSON
-    kAttachReply = 111, ///< HDS1.2: u64 follow id + status JSON
+    kJobReport = 106,   ///< u64 job id + hdrd-report-v1
+    kJobBusy = 107,     ///< u64 job id + busy JSON
+    kJobError = 108,    ///< u64 job id + error JSON
+    kCredit = 109,      ///< u64 id + u64 granted bytes
+    kJobPartial = 110,  ///< u64 id + partial-report JSON
+    kAttachReply = 111, ///< u64 follow id + status JSON
 };
 
 /** True for frame type values this protocol version defines. */
@@ -164,7 +139,7 @@ enum : std::uint32_t
 
 /**
  * Fixed-width analysis configuration preceding the trace bytes in a
- * SUBMIT payload. Defaults mirror hdrd_sim's, so a report from the
+ * SUBMIT_JOB payload. Defaults mirror hdrd_sim's, so a report from the
  * daemon diffs byte-identical against `hdrd_sim --replay
  * --report-json` golden output.
  */
@@ -229,7 +204,7 @@ bool writeFrame(int fd, FrameType type, const std::string &payload);
  */
 bool readPayload(int fd, std::uint64_t length, std::string &out);
 
-/** True for the HDS1.1+ job-keyed response types. */
+/** True for the job-keyed response types. */
 inline bool
 isJobKeyed(FrameType type)
 {

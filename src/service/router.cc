@@ -538,14 +538,6 @@ Router::submitBatch(const std::vector<BatchJob> &jobs,
             spill();
             return;
         }
-        const Response hello = client.hello();
-        if (!hello.transport_ok
-            || hello.type != FrameType::kHelloReply) {
-            // HDS1.0 daemon (answers ERROR and closes): the failover
-            // pass serves this group sequentially.
-            spill();
-            return;
-        }
         std::vector<PipelineSubmission> subs;
         subs.reserve(group.size());
         for (std::size_t i : group) {

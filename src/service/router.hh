@@ -209,8 +209,8 @@ class Router
 
     /**
      * Submit a batch: jobs are grouped by placement, each group is
-     * pipelined over one connection to its daemon (HDS1.1, window
-     * bounded by @p window), groups run concurrently, and every job
+     * pipelined over one connection to its daemon (window bounded
+     * by @p window), groups run concurrently, and every job
      * whose group attempt did not yield a report is re-driven
      * through submit() failover. One final result per job, in input
      * order.

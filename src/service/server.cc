@@ -15,12 +15,8 @@
 #include <unistd.h>
 
 #include "common/logging.hh"
-#include "pmu/faults.hh"
-#include "service/protocol.hh"
-#include "service/report_json.hh"
+#include "service/connection.hh"
 #include "stream/stream_session.hh"
-#include "trace/trace_io.hh"
-#include "trace/trace_program.hh"
 
 namespace hdrd::service
 {
@@ -161,9 +157,8 @@ class Server::IoShard
                     continue;
                 }
                 if (!it->second->deliver(
-                        completion.counted, completion.keyed,
-                        completion.job_id, completion.base,
-                        std::move(completion.body)))
+                        completion.counted, completion.job_id,
+                        completion.type, std::move(completion.body)))
                     closeConnection(it);
                 else
                     syncInterest(*it->second);
@@ -585,9 +580,8 @@ Server::streamOpen(Connection &conn, std::uint64_t job_id,
             Completion completion;
             completion.conn_id = conn_id;
             completion.counted = false;
-            completion.keyed = true;
             completion.job_id = job_id;
-            completion.base = FrameType::kCredit;
+            completion.type = FrameType::kCredit;
             completion.body = creditBody(granted);
             postCompletion(std::move(completion));
         };
@@ -598,7 +592,8 @@ Server::streamOpen(Connection &conn, std::uint64_t job_id,
         callbacks.on_done = [this, key](bool ok,
                                         const std::string &json) {
             streamFanout(key,
-                         ok ? FrameType::kReport : FrameType::kError,
+                         ok ? FrameType::kJobReport
+                            : FrameType::kJobError,
                          json);
             streamFinished(key);
         };
@@ -634,7 +629,7 @@ Server::streamAttach(Connection &conn, std::uint64_t follow_id,
 }
 
 void
-Server::streamFanout(const std::string &name, FrameType base,
+Server::streamFanout(const std::string &name, FrameType type,
                      const std::string &json)
 {
     std::lock_guard<std::mutex> lock(streams_mutex_);
@@ -645,8 +640,7 @@ Server::streamFanout(const std::string &name, FrameType base,
 
     Completion completion;
     completion.counted = false;
-    completion.keyed = true;
-    completion.base = base;
+    completion.type = type;
     completion.body = json;
 
     completion.conn_id = entry.owner_conn;
@@ -695,11 +689,23 @@ Server::postCompletion(Completion completion)
     shards_[shard]->post(std::move(completion));
 }
 
-DispatchOutcome
-Server::dispatchJob(Connection &conn, bool keyed,
-                    std::uint64_t job_id, const JobOptions &options,
-                    std::shared_ptr<trace::TraceData> data,
-                    const pmu::FaultConfig &faults)
+std::shared_ptr<stream::StreamSession>
+Server::openJob(std::uint64_t job_id, const JobOptions &options,
+                std::uint64_t trace_bytes)
+{
+    stream::StreamConfig job;
+    job.job_id = job_id;
+    job.options = options;
+    job.base = config_.base;
+    job.trace_bytes = trace_bytes;
+    job.partial_interval = 0;
+    job.metrics = &metrics_;
+    return std::make_shared<stream::StreamSession>(std::move(job));
+}
+
+std::string
+Server::dispatchJob(Connection &conn, std::uint64_t job_id,
+                    std::shared_ptr<stream::StreamSession> session)
 {
     const std::uint64_t conn_id = conn.id();
     auto token = conn.token();
@@ -709,19 +715,8 @@ Server::dispatchJob(Connection &conn, bool keyed,
         + std::chrono::milliseconds(config_.job_timeout_ms);
     const std::uint64_t min_job_ms = config_.min_job_ms;
 
-    runtime::SimConfig sim_config = config_.base;
-    sim_config.mode = static_cast<instr::ToolMode>(options.mode);
-    sim_config.detector =
-        static_cast<runtime::DetectorKind>(options.detector);
-    sim_config.gating.hitm_counter.sample_after = options.sav;
-    sim_config.granule_shift = options.granule_shift;
-    sim_config.mem.ncores = options.cores;
-    sim_config.seed = options.seed;
-    sim_config.faults = faults;
-
-    auto job = [this, token, conn_id, keyed, job_id, data, options,
-                sim_config, min_job_ms, enqueued, deadline,
-                has_deadline](std::uint32_t worker) {
+    auto job = [this, token, conn_id, job_id, session, min_job_ms,
+                enqueued, deadline, has_deadline](std::uint32_t worker) {
         if (!token->load(std::memory_order_acquire)) {
             metrics_.counter("server.jobs_abandoned").add();
             return;
@@ -729,32 +724,12 @@ Server::dispatchJob(Connection &conn, bool keyed,
         const auto t_start = Clock::now();
         metrics_.histogram("job.queue_wait_us")
             .record(usSince(enqueued, t_start));
-        std::string payload;
-        bool ok = false;
+        stream::StreamFinal final;
         if (has_deadline && t_start > deadline) {
             metrics_.counter("server.jobs_timeout").add();
-            payload = jsonError("job timed out waiting in queue");
+            final.json = jsonError("job timed out waiting in queue");
         } else {
-            runtime::Simulator &engine = *engines_[worker];
-            engine.reconfigure(sim_config);
-            trace::TraceProgram program(*data);
-            const runtime::RunResult result = engine.run(program);
-            const auto t_done = Clock::now();
-
-            JobReport report;
-            report.trace = data->name();
-            report.nthreads = data->nthreads();
-            report.options = options;
-            report.fault_spec = pmu::faultSpec(sim_config.faults);
-            report.result = &result;
-            report.include_host_timing =
-                !(options.flags & kJobOmitHostTiming);
-            report.host_ms =
-                static_cast<double>(usSince(t_start, t_done))
-                / 1000.0;
-            payload = jobReportJson(report);
-            ok = true;
-            metrics_.counter("server.jobs_completed").add();
+            final = session->run(*engines_[worker]);
         }
         if (min_job_ms > 0) {
             const auto floor_until = t_start
@@ -763,7 +738,7 @@ Server::dispatchJob(Connection &conn, bool keyed,
         }
         // Recorded after the --min-job-ms floor: exec_us feeds the
         // BUSY retry hint, which must reflect observed service time.
-        if (ok)
+        if (final.ok)
             metrics_.histogram("job.exec_us")
                 .record(usSince(t_start, Clock::now()));
         metrics_.histogram("job.total_us")
@@ -771,58 +746,24 @@ Server::dispatchJob(Connection &conn, bool keyed,
 
         Completion completion;
         completion.conn_id = conn_id;
-        completion.keyed = keyed;
         completion.job_id = job_id;
-        completion.base =
-            ok ? FrameType::kReport : FrameType::kError;
-        completion.body = std::move(payload);
+        completion.type =
+            final.ok ? FrameType::kJobReport : FrameType::kJobError;
+        completion.body = std::move(final.json);
         postCompletion(std::move(completion));
     };
 
     if (!pool_->trySubmit(std::move(job))) {
         metrics_.counter("server.jobs_rejected_busy").add();
-        DispatchOutcome outcome;
-        outcome.busy_json =
-            "{\"status\": \"busy\", \"retry_after_ms\": "
+        return "{\"status\": \"busy\", \"retry_after_ms\": "
             + std::to_string(retryAfterMs())
             + ", \"queue_depth\": "
             + std::to_string(pool_->queueDepth())
             + ", \"queue_capacity\": "
             + std::to_string(pool_->queueCapacity()) + "}\n";
-        return outcome;
     }
     metrics_.counter("server.jobs_accepted").add();
-    if (keyed)
-        metrics_.counter("server.jobs_pipelined").add();
-    DispatchOutcome outcome;
-    outcome.accepted = true;
-    return outcome;
-}
-
-std::string
-Server::statsJson()
-{
-    return metrics_.toJson();
-}
-
-std::string
-Server::helloJson()
-{
-    return "{\"status\": \"ok\", \"protocol\": \"HDS1."
-        + std::to_string(kProtocolMinor)
-        + "\", \"minor\": " + std::to_string(kProtocolMinor)
-        + ", \"max_pipeline\": "
-        + std::to_string(config_.max_pipeline)
-        + ", \"max_trace_bytes\": "
-        + std::to_string(config_.max_trace_bytes)
-        + ", \"workers\": " + std::to_string(pool_->workers())
-        + ", \"io_shards\": " + std::to_string(shards_.size())
-        + ", \"max_streams\": "
-        + std::to_string(config_.max_streams)
-        + ", \"stream_buffer\": "
-        + std::to_string(config_.stream_buffer)
-        + ", \"partial_interval\": "
-        + std::to_string(config_.partial_interval_ops) + "}\n";
+    return "";
 }
 
 void

@@ -5,17 +5,19 @@
  * Connection handling is a non-blocking epoll plane: one acceptor
  * thread distributes sockets round-robin over N I/O shard threads,
  * each running an EventLoop over per-connection state machines
- * (service/connection.hh). Traces stream straight from the socket
- * buffer into the incremental trace reader — a bad trace is refused
- * from its header before the body is buffered, and the daemon never
- * parks a thread per connection.
+ * (service/connection.hh). Every submission is a
+ * stream::StreamSession fed straight from the socket buffer — a bad
+ * trace is refused from its header before the body is buffered, and
+ * the daemon never parks a thread per connection.
  *
- * Analysis stays on the bounded WorkerPool: one engine per worker,
- * never shared; overload answers BUSY + a retry-after hint instead
- * of queueing unboundedly. Completions are marshalled back to the
- * owning shard through a wake-pipe inbox, which is what lets one
- * connection carry many pipelined HDS1.1 jobs with out-of-order,
- * job-id-correlated responses.
+ * A SUBMIT_JOB runs on the bounded WorkerPool: one reused engine per
+ * worker, never shared; overload answers JOB_BUSY + a retry-after
+ * hint instead of queueing unboundedly. A SUBMIT_STREAM runs on its
+ * session's own engine thread, so a slow uploader never holds a
+ * worker. Both run through StreamSession::run(). Completions are
+ * marshalled back to the owning shard through a wake-pipe inbox,
+ * which is what lets one connection carry many jobs with
+ * out-of-order, job-id-correlated responses.
  *
  * SIGTERM (via requestStop()) drains gracefully: idle connections
  * close, in-flight and queued jobs complete and get their replies,
@@ -24,8 +26,8 @@
  * Reports are deterministic: a given (trace, JobOptions) pair yields
  * a byte-identical hdrd-report-v1 JSON (modulo the optional host
  * timing block) regardless of worker count, shard count, submission
- * order, pipelining, or which worker ran it — each job is an
- * independent simulation with its own engine.
+ * order, pipelining, streaming, or which worker ran it — each job is
+ * an independent simulation.
  */
 
 #ifndef HDRD_SERVICE_SERVER_HH
@@ -43,9 +45,9 @@
 #include <vector>
 
 #include "runtime/simulator.hh"
-#include "service/connection.hh"
 #include "service/event_loop.hh"
 #include "service/metrics.hh"
+#include "service/protocol.hh"
 #include "service/worker_pool.hh"
 
 namespace hdrd::stream
@@ -55,6 +57,21 @@ class StreamSession;
 
 namespace hdrd::service
 {
+
+class Connection;
+
+/** Verdict of a streaming-submission open. */
+struct StreamOpenOutcome
+{
+    /** The live session to feed; null when refused. */
+    std::shared_ptr<stream::StreamSession> session;
+
+    /** Refused for capacity (JOB_BUSY) rather than error. */
+    bool busy = false;
+
+    /** Refusal payload (busy or error JSON) when session is null. */
+    std::string refusal_json;
+};
 
 /** Daemon configuration. */
 struct ServerConfig
@@ -128,13 +145,13 @@ struct ServerConfig
     runtime::SimConfig base;
 };
 
-class Server : public ConnectionHost
+class Server
 {
   public:
     explicit Server(ServerConfig config);
 
     /** Stops and joins everything (stop()). */
-    ~Server() override;
+    ~Server();
 
     Server(const Server &) = delete;
     Server &operator=(const Server &) = delete;
@@ -188,35 +205,52 @@ class Server : public ConnectionHost
     static std::uint64_t retryAfterHintMs(double mean_exec_ms,
                                           std::size_t queue_depth);
 
-    // --- ConnectionHost (shard threads call these) ---
-    DispatchOutcome dispatchJob(
-        Connection &conn, bool keyed, std::uint64_t job_id,
-        const JobOptions &options,
-        std::shared_ptr<trace::TraceData> data,
-        const pmu::FaultConfig &faults) override;
-    StreamOpenOutcome streamOpen(
+    const ServerConfig &config() const { return config_; }
+
+    // --- Connection (shard threads call these) ---
+
+    /**
+     * A session for one SUBMIT_JOB: fed the frame's @p trace_bytes,
+     * then handed to dispatchJob().
+     */
+    std::shared_ptr<stream::StreamSession> openJob(
+        std::uint64_t job_id, const JobOptions &options,
+        std::uint64_t trace_bytes);
+
+    /**
+     * Queue a fully received job on the worker pool; its answer
+     * reaches @p conn as a counted completion.
+     * @return "" when admitted, else the JOB_BUSY payload
+     */
+    std::string dispatchJob(
         Connection &conn, std::uint64_t job_id,
-        const std::string &name, const JobOptions &options) override;
-    std::string streamAttach(Connection &conn,
-                             std::uint64_t follow_id,
-                             const std::string &name) override;
-    std::string statsJson() override;
-    std::string helloJson() override;
-    Metrics &hostMetrics() override { return metrics_; }
-    std::uint64_t maxTraceBytes() const override
-    {
-        return config_.max_trace_bytes;
-    }
-    std::uint32_t maxPipeline() const override
-    {
-        return config_.max_pipeline;
-    }
+        std::shared_ptr<stream::StreamSession> session);
+
+    /**
+     * Open a streaming submission (SUBMIT_STREAM). On success the
+     * returned session is already started (its initial CREDIT is on
+     * its way as a completion) and the connection feeds it
+     * SUBMIT_DATA bytes directly.
+     */
+    StreamOpenOutcome streamOpen(Connection &conn,
+                                 std::uint64_t job_id,
+                                 const std::string &name,
+                                 const JobOptions &options);
+
+    /**
+     * Follow a live streaming session by name (ATTACH).
+     * @return the ATTACH_REPLY status JSON; on success the server
+     *         mirrors the session's subsequent partials and final to
+     *         this connection keyed by @p follow_id.
+     */
+    std::string streamAttach(Connection &conn, std::uint64_t follow_id,
+                             const std::string &name);
 
   private:
     class IoShard;
     friend class IoShard;
 
-    /** A finished job's response on its way back to the shard. */
+    /** A job-keyed response on its way back to the shard. */
     struct Completion
     {
         std::uint64_t conn_id = 0;
@@ -224,13 +258,8 @@ class Server : public ConnectionHost
         /** Occupies an in-flight pipeline slot (worker-pool jobs). */
         bool counted = true;
 
-        bool keyed = false;
         std::uint64_t job_id = 0;
-
-        /** kReport or kError (shards map keyed variants), or an
-         *  already-keyed HDS1.2 type passed through verbatim. */
-        FrameType base = FrameType::kError;
-
+        FrameType type = FrameType::kJobError;
         std::string body;
     };
 
@@ -257,9 +286,9 @@ class Server : public ConnectionHost
 
     /**
      * Mirror a session event to its uploader and every follower.
-     * @param base kJobPartial, or kReport/kError for the final
+     * @param type kJobPartial, or kJobReport/kJobError for the final
      */
-    void streamFanout(const std::string &name, FrameType base,
+    void streamFanout(const std::string &name, FrameType type,
                       const std::string &json);
 
     /** Retire a completed session into the zombie list. */

@@ -50,10 +50,11 @@ StreamSession::BufSource::read(char *dst, std::size_t n)
 }
 
 /**
- * The session's face to the simulator: per-thread bodies that block
- * inside next() until ingestion catches up. nextIsPure() is false so
- * the simulator never prefetches — a body must only block when the
- * scheduler genuinely needs its thread's next operation.
+ * The session's face to the simulator while its input is still
+ * arriving: per-thread bodies that block inside next() until
+ * ingestion catches up. nextIsPure() is false so the simulator never
+ * fetches ahead — a body must only block when the scheduler
+ * genuinely needs its thread's next operation.
  */
 class StreamSession::EngineBody : public runtime::ThreadBody
 {
@@ -75,11 +76,37 @@ class StreamSession::EngineBody : public runtime::ThreadBody
     ThreadId tid_;
 };
 
+/**
+ * The session's face to the simulator once its input is complete:
+ * each thread's queue replays in place, with no lock, and pure, so
+ * the simulator fetches ahead.
+ */
+class StreamSession::ReplayBody : public runtime::ThreadBody
+{
+  public:
+    explicit ReplayBody(const std::deque<runtime::Op> &ops)
+        : next_(ops.begin()), end_(ops.end())
+    {
+    }
+
+    bool next(runtime::Op &op) override
+    {
+        if (next_ == end_)
+            return false;
+        op = *next_++;
+        return true;
+    }
+
+  private:
+    std::deque<runtime::Op>::const_iterator next_;
+    std::deque<runtime::Op>::const_iterator end_;
+};
+
 class StreamSession::EngineProgram : public runtime::Program
 {
   public:
-    explicit EngineProgram(StreamSession &session)
-        : session_(session)
+    EngineProgram(StreamSession &session, bool complete)
+        : session_(session), complete_(complete)
     {
     }
 
@@ -96,11 +123,14 @@ class StreamSession::EngineProgram : public runtime::Program
     std::unique_ptr<runtime::ThreadBody>
     makeThread(ThreadId tid) override
     {
+        if (complete_)
+            return std::make_unique<ReplayBody>(session_.queues_[tid]);
         return std::make_unique<EngineBody>(session_, tid);
     }
 
   private:
     StreamSession &session_;
+    bool complete_;
 };
 
 StreamSession::StreamSession(StreamConfig config,
@@ -111,10 +141,9 @@ StreamSession::StreamSession(StreamConfig config,
                "stream buffer cap smaller than a trace header");
     config_.credit_quantum = std::max<std::uint64_t>(
         1, std::min(config_.credit_quantum, config_.buffer_cap));
-    if (config_.metrics != nullptr) {
-        config_.metrics->counter("stream.sessions_opened").add();
-        config_.metrics->gauge("stream.active_sessions").add();
-    }
+    // A sized upload is granted in full: the frame already bounds it.
+    if (config_.trace_bytes != trace::TraceReader::kUnknownSize)
+        granted_ = config_.trace_bytes;
 }
 
 StreamSession::~StreamSession()
@@ -129,9 +158,19 @@ StreamSession::start()
     {
         std::lock_guard<std::mutex> lock(mutex_);
         granted_ = config_.buffer_cap;
+        stream_metrics_ = config_.metrics;
+    }
+    if (stream_metrics_ != nullptr) {
+        stream_metrics_->counter("stream.sessions_opened").add();
+        stream_metrics_->gauge("stream.active_sessions").add();
     }
     fireCredit(config_.buffer_cap);
-    engine_ = std::thread([this] { engineMain(); });
+    engine_ = std::thread([this] {
+        runtime::Simulator engine(config_.base);
+        const StreamFinal final = run(engine);
+        if (callbacks_.on_done)
+            callbacks_.on_done(final.ok, final.json);
+    });
 }
 
 bool
@@ -158,10 +197,11 @@ StreamSession::feed(const char *data, std::size_t len,
         }
         received_ += len;
         buf_.append(data, len);
-        net_gauge_ += static_cast<std::int64_t>(len);
-        if (config_.metrics != nullptr)
-            config_.metrics->gauge("stream.buffered_bytes")
+        if (stream_metrics_ != nullptr) {
+            net_gauge_ += static_cast<std::int64_t>(len);
+            stream_metrics_->gauge("stream.buffered_bytes")
                 .add(static_cast<std::int64_t>(len));
+        }
         drainLocked();
         grant = maybeGrantLocked();
         cv_.notify_all();
@@ -189,9 +229,16 @@ StreamSession::abort()
     std::lock_guard<std::mutex> lock(mutex_);
     if (failed_ || finished_.load(std::memory_order_acquire))
         return;
-    if (config_.metrics != nullptr)
-        config_.metrics->counter("stream.aborts").add();
+    if (stream_metrics_ != nullptr)
+        stream_metrics_->counter("stream.aborts").add();
     failLocked("streaming session aborted");
+}
+
+std::string
+StreamSession::error()
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return error_;
 }
 
 void
@@ -217,12 +264,12 @@ StreamSession::drainLocked()
     if (!header_ready_) {
         if (!reader_.readHeader()) {
             if (!reader_.error().empty())
-                failLocked("trace rejected: " + reader_.error());
+                rejectLocked("trace rejected: " + reader_.error());
             return;  // starved: resume on the next feed (or end)
         }
         // Header landed: everything the engine needs to configure
         // itself is now known. Resolve the fault spec exactly like
-        // the buffered path — explicit override wins, else the
+        // `hdrd_sim --replay`: an explicit override wins, else the
         // trace's recorded spec unless the client opted out.
         noteConsumedLocked(source_.consumed());
         trace_name_ = reader_.name();
@@ -235,7 +282,7 @@ StreamSession::drainLocked()
         std::string err;
         if (!spec.empty() && spec != "none"
             && !pmu::resolveFaultSpec(spec, fault_config_, err)) {
-            failLocked("trace carries unusable fault spec: " + err);
+            rejectLocked("trace carries unusable fault spec: " + err);
             return;
         }
         queues_.resize(nthreads_);
@@ -249,7 +296,7 @@ StreamSession::drainLocked()
         for (std::size_t i = 0; i < got; ++i)
             queues_[batch[i].tid].push_back(batch[i].toOp());
         if (!reader_.error().empty()) {
-            failLocked("trace rejected: " + reader_.error());
+            rejectLocked("trace rejected: " + reader_.error());
             return;
         }
         if (got == 0)
@@ -259,15 +306,25 @@ StreamSession::drainLocked()
     if (reader_.done() && ended_ && !input_done_) {
         const std::size_t leftover = buf_.size() - buf_pos_;
         if (leftover > 0) {
-            failLocked(std::to_string(leftover)
-                       + " bytes of trailing garbage after "
-                       + std::to_string(reader_.recordCount())
-                       + " records");
+            rejectLocked(std::to_string(leftover)
+                         + " bytes of trailing garbage after "
+                         + std::to_string(reader_.recordCount())
+                         + " records");
             return;
         }
         input_done_ = true;
         cv_.notify_all();
     }
+}
+
+void
+StreamSession::rejectLocked(const std::string &message)
+{
+    if (config_.metrics != nullptr) {
+        config_.metrics->counter("server.traces_rejected").add();
+        config_.metrics->counter("server.jobs_invalid").add();
+    }
+    failLocked(message);
 }
 
 void
@@ -286,11 +343,12 @@ void
 StreamSession::noteConsumedLocked(std::uint64_t n)
 {
     consumed_bytes_ += n;
+    if (stream_metrics_ == nullptr)
+        return;
     gauge_pending_ += static_cast<std::int64_t>(n);
     if (gauge_pending_ >= kGaugeFlush) {
-        if (config_.metrics != nullptr)
-            config_.metrics->gauge("stream.buffered_bytes")
-                .sub(gauge_pending_);
+        stream_metrics_->gauge("stream.buffered_bytes")
+            .sub(gauge_pending_);
         net_gauge_ -= gauge_pending_;
         gauge_pending_ = 0;
     }
@@ -299,7 +357,8 @@ StreamSession::noteConsumedLocked(std::uint64_t n)
 std::uint64_t
 StreamSession::maybeGrantLocked()
 {
-    if (ended_ || failed_)
+    if (ended_ || failed_
+        || config_.trace_bytes != trace::TraceReader::kUnknownSize)
         return 0;
     const std::uint64_t want = consumed_bytes_ + config_.buffer_cap;
     if (want >= granted_ + config_.credit_quantum) {
@@ -312,8 +371,8 @@ StreamSession::maybeGrantLocked()
 void
 StreamSession::fireCredit(std::uint64_t granted_total)
 {
-    if (config_.metrics != nullptr)
-        config_.metrics->counter("stream.credits_issued").add();
+    if (stream_metrics_ != nullptr)
+        stream_metrics_->counter("stream.credits_issued").add();
     if (callbacks_.on_credit)
         callbacks_.on_credit(granted_total);
 }
@@ -346,9 +405,8 @@ StreamSession::popOp(ThreadId tid, runtime::Op &op)
             // against adversarially skewed interleavings).
             granted_ += config_.credit_quantum;
             const std::uint64_t grant = granted_;
-            if (config_.metrics != nullptr)
-                config_.metrics
-                    ->counter("stream.emergency_credits")
+            if (stream_metrics_ != nullptr)
+                stream_metrics_->counter("stream.emergency_credits")
                     .add();
             lock.unlock();
             fireCredit(grant);
@@ -359,23 +417,27 @@ StreamSession::popOp(ThreadId tid, runtime::Op &op)
     }
 }
 
-void
-StreamSession::engineMain()
+StreamFinal
+StreamSession::run(runtime::Simulator &engine)
 {
+    std::string message;
+    bool complete = false;
     {
         std::unique_lock<std::mutex> lock(mutex_);
         cv_.wait(lock,
                  [this] { return header_ready_ || failed_; });
-        if (failed_) {
-            const std::string message = error_;
-            lock.unlock();
-            finish(false, service::jsonError(message));
-            return;
-        }
+        if (failed_)
+            message = error_;
+        complete = input_done_;
     }
+    if (!message.empty())
+        return settle(false, service::jsonError(message));
+    // Complete input never changes again: the engine replays it in
+    // place, lock-free and with fetch-ahead on.
+    EngineProgram program(*this, complete);
 
-    // Identical option mapping to Server::dispatchJob, so a streamed
-    // job's report is byte-for-byte the buffered job's.
+    // The one options-to-engine mapping: the same job configures the
+    // same engine whichever way its bytes arrived.
     const service::JobOptions &o = config_.options;
     runtime::SimConfig sim_config = config_.base;
     sim_config.mode = static_cast<instr::ToolMode>(o.mode);
@@ -386,37 +448,44 @@ StreamSession::engineMain()
     sim_config.mem.ncores = o.cores;
     sim_config.seed = o.seed;
     sim_config.faults = fault_config_;
+    engine.reconfigure(sim_config);
 
-    service::JobReport base_report;
-    base_report.trace = trace_name_;
-    base_report.nthreads = nthreads_;
-    base_report.options = o;
-    base_report.fault_spec = pmu::faultSpec(sim_config.faults);
+    service::JobReport report;
+    report.trace = trace_name_;
+    report.nthreads = nthreads_;
+    report.options = o;
+    report.fault_spec = pmu::faultSpec(sim_config.faults);
 
-    runtime::Simulator sim(sim_config);
-    EngineProgram program(*this);
-
+    // Observe only when there is something to observe: partials, or
+    // an input that may never finish arriving (cancellation).
     runtime::RunObserver observer;
     observer.interval_ops = config_.partial_interval;
     observer.cancel = &cancel_;
     observer.on_partial = [&](const runtime::RunResult &snapshot) {
-        service::JobReport partial = base_report;
+        service::JobReport partial = report;
         partial.result = &snapshot;
         partial.partial_seq = ++partial_seq_;
-        partial.include_host_timing = false;
-        if (config_.metrics != nullptr)
-            config_.metrics->counter("stream.partials_emitted")
-                .add();
+        if (stream_metrics_ != nullptr)
+            stream_metrics_->counter("stream.partials_emitted").add();
         if (callbacks_.on_partial)
             callbacks_.on_partial(partial_seq_,
                                   service::jobReportJson(partial));
     };
+    const bool observe = !complete || config_.partial_interval > 0;
 
     const auto t_start = Clock::now();
-    const runtime::RunResult result = sim.run(program, &observer);
+    runtime::RunResult result;
+    try {
+        const PanicTrap trap;
+        result = engine.run(program, observe ? &observer : nullptr);
+    } catch (const PanicError &e) {
+        // Operations the engine cannot run (an unlock of a lock never
+        // taken, a deadlock) make a bad trace, not a dead daemon.
+        std::lock_guard<std::mutex> lock(mutex_);
+        rejectLocked(std::string("trace rejected: ") + e.what());
+    }
     const auto t_done = Clock::now();
 
-    std::string message;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         if (failed_)
@@ -425,45 +494,39 @@ StreamSession::engineMain()
                  || cancel_.load(std::memory_order_acquire))
             message = "streaming session aborted";
     }
-    if (!message.empty()) {
-        finish(false, service::jsonError(message));
-        return;
-    }
+    if (!message.empty())
+        return settle(false, service::jsonError(message));
 
-    base_report.result = &result;
-    base_report.include_host_timing =
+    report.result = &result;
+    report.include_host_timing =
         !(o.flags & service::kJobOmitHostTiming);
-    base_report.host_ms =
+    report.host_ms =
         static_cast<double>(
             std::chrono::duration_cast<std::chrono::microseconds>(
                 t_done - t_start)
                 .count())
         / 1000.0;
-    finish(true, service::jobReportJson(base_report));
+    return settle(true, service::jobReportJson(report));
 }
 
-void
-StreamSession::finish(bool ok, const std::string &json)
+StreamFinal
+StreamSession::settle(bool ok, std::string json)
 {
     {
         std::lock_guard<std::mutex> lock(mutex_);
         input_done_ = true;
-        if (config_.metrics != nullptr && net_gauge_ != 0)
-            config_.metrics->gauge("stream.buffered_bytes")
+        if (stream_metrics_ != nullptr && net_gauge_ != 0)
+            stream_metrics_->gauge("stream.buffered_bytes")
                 .sub(net_gauge_);
         net_gauge_ = 0;
         gauge_pending_ = 0;
     }
-    if (config_.metrics != nullptr) {
-        config_.metrics->gauge("stream.active_sessions").sub();
-        config_.metrics
-            ->counter(ok ? "stream.jobs_completed"
-                         : "stream.jobs_failed")
-            .add();
-    }
+    if (stream_metrics_ != nullptr)
+        stream_metrics_->gauge("stream.active_sessions").sub();
+    if (ok && config_.metrics != nullptr)
+        config_.metrics->counter("server.jobs_completed").add();
     finished_.store(true, std::memory_order_release);
-    if (callbacks_.on_done)
-        callbacks_.on_done(ok, json);
+    return {ok, std::move(json)};
 }
 
 } // namespace hdrd::stream

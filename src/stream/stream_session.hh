@@ -1,35 +1,47 @@
 /**
  * @file
- * The streaming analysis subsystem: incremental trace ingestion with
- * live partial reports.
+ * The daemon's job object: incremental trace ingestion and the one
+ * run path every submission takes.
  *
- * A StreamSession turns a job from "buffer the whole trace, then
- * analyze" into a pull-based pipeline. The network plane feeds raw
- * TRC2 bytes as they arrive (feed()); the session parses them
- * incrementally with the streaming trace::TraceReader into bounded
- * per-thread operation queues; a dedicated engine thread runs the
- * Simulator over a Program whose thread bodies block-pop those
- * queues. Analysis therefore overlaps ingestion, and the session's
- * resident footprint is bounded by the credit window instead of the
- * trace length.
+ * A StreamSession takes raw TRC2 bytes as they arrive (feed()),
+ * parses them incrementally with the resumable trace::TraceReader
+ * into per-thread operation queues, and runs the Simulator over them
+ * (run()). Both submit kinds are sessions:
  *
- * Flow control is cumulative byte credit: the client may have sent at
- * most `granted` bytes in total, and the grant advances as the engine
- * consumes records, keeping buffered-but-unanalyzed bytes near
- * buffer_cap. When the engine starves on a thread whose records the
- * exhausted window is holding back (a heavily skewed thread
- * interleaving in the uploaded image), the session issues an
- * emergency grant beyond the cap rather than deadlocking — the
- * memory cap is firm for well-interleaved traces and soft against
- * adversarial ones.
+ *  - A SUBMIT_JOB frame is a session with a declared size. The
+ *    connection feeds it the frame's trace bytes and end(), then a
+ *    worker-pool thread calls run() with that worker's reused engine.
+ *    The input is complete when run() starts, so the engine replays
+ *    the per-thread queues in place: no lock per op, and the
+ *    simulator's fetch-ahead prefetch stays on.
+ *  - A SUBMIT_STREAM is start()ed: it grants CREDIT, and its own
+ *    engine thread calls run() while the upload continues, so a slow
+ *    uploader never holds a pool worker. Thread bodies block inside
+ *    next() until ingestion catches up, and nextIsPure() == false
+ *    keeps the simulator from fetching ahead into a body that may
+ *    block. The resident footprint is bounded by the credit window
+ *    instead of the trace length.
+ *
+ * Flow control (started sessions) is cumulative byte credit: the
+ * client may have sent at most `granted` bytes in total, and the
+ * grant advances as the engine consumes records, keeping
+ * buffered-but-unanalyzed bytes near buffer_cap. When the engine
+ * starves on a thread whose records the exhausted window is holding
+ * back (a heavily skewed thread interleaving in the uploaded image),
+ * the session issues an emergency grant beyond the cap rather than
+ * deadlocking — the memory cap is firm for well-interleaved traces
+ * and soft against adversarial ones. A sized session is granted its
+ * whole declared size up front and never sends CREDIT.
  *
  * Determinism: the simulator's schedule is a pure function of
- * (trace, config); thread bodies blocking inside next() only delay
- * the host, never reorder the simulated interleaving, and
- * nextIsPure() == false opts out of the (behavior-neutral) prefetch
- * path. Final streamed reports are byte-identical to the buffered
- * path's, and every partial snapshot is emitted at a deterministic
- * executed-op count, so partial N of a job is byte-stable too.
+ * (trace, config); blocking inside next() only delays the host, and
+ * fetch-ahead is behaviour-neutral, so the final report is the same
+ * bytes whichever way the input arrived. Every partial snapshot is
+ * emitted at a deterministic executed-op count, so partial N of a
+ * job is byte-stable too.
+ *
+ * Metrics: server.* outcome counters count every session; stream.*
+ * counters and gauges count started sessions only.
  *
  * Thread model: feed()/end()/abort() are called by the owning I/O
  * shard thread and never block. Callbacks fire on either the feeding
@@ -69,17 +81,23 @@ namespace hdrd::stream
 /** Everything a StreamSession is parameterized by. */
 struct StreamConfig
 {
-    /** Wire job id the uploader keyed the stream with. */
+    /** Wire job id the uploader keyed the submission with. */
     std::uint64_t job_id = 0;
 
-    /** Client-chosen session name (the ATTACH key). */
+    /** Client-chosen session name (the ATTACH key; "" for jobs). */
     std::string name;
 
-    /** Analysis options, exactly as for a buffered SUBMIT_JOB. */
+    /** Analysis options from the submit frame. */
     service::JobOptions options;
 
     /** Daemon-wide base configuration the options overlay. */
     runtime::SimConfig base;
+
+    /**
+     * Declared trace size (a SUBMIT_JOB frame's), checked against
+     * the trace header; kUnknownSize for an open-ended upload.
+     */
+    std::uint64_t trace_bytes = trace::TraceReader::kUnknownSize;
 
     /** Target bound on buffered-but-unanalyzed bytes. */
     std::uint64_t buffer_cap = 4ull << 20;
@@ -95,8 +113,8 @@ struct StreamConfig
 };
 
 /**
- * Session event sinks. See the file comment for threading rules; any
- * callback may be empty.
+ * Session event sinks for started sessions. See the file comment for
+ * threading rules; any callback may be empty.
  */
 struct StreamCallbacks
 {
@@ -108,21 +126,33 @@ struct StreamCallbacks
         on_partial;
 
     /**
-     * Terminal event, fired exactly once: the final hdrd-report-v1
-     * (ok) or an error JSON (rejected trace, truncation, abort).
+     * Terminal event, fired exactly once by the engine thread with
+     * run()'s answer: the final hdrd-report-v1 (ok) or an error JSON
+     * (rejected trace, truncation, abort).
      */
     std::function<void(bool ok, const std::string &json)> on_done;
 };
 
+/** A session's terminal answer. */
+struct StreamFinal
+{
+    bool ok = false;
+
+    /** hdrd-report-v1 when ok, else the error JSON. */
+    std::string json;
+};
+
 /**
- * One live streaming analysis job. Create, start(), then feed bytes
- * until end(); abort() (idempotent) cancels from any state. The
+ * One analysis job. Create, feed bytes until end(), and run() — or
+ * start() to have a dedicated engine thread run() it while bytes
+ * still arrive. abort() (idempotent) cancels from any state; the
  * destructor aborts and joins the engine thread.
  */
 class StreamSession
 {
   public:
-    StreamSession(StreamConfig config, StreamCallbacks callbacks);
+    explicit StreamSession(StreamConfig config,
+                           StreamCallbacks callbacks = {});
 
     /** Aborts if still running and joins the engine thread. */
     ~StreamSession();
@@ -130,15 +160,19 @@ class StreamSession
     StreamSession(const StreamSession &) = delete;
     StreamSession &operator=(const StreamSession &) = delete;
 
-    /** Issue the initial credit grant and launch the engine. */
+    /**
+     * Streamed upload: issue the initial credit grant and launch an
+     * engine thread that runs the job on a fresh engine and hands
+     * the answer to on_done.
+     */
     void start();
 
     /**
      * Ingest @p len trace bytes (chunk boundaries arbitrary). Never
      * blocks: bytes beyond parseable records buffer internally.
      * @return false with @p err set on a protocol violation (credit
-     *         overrun, data after end()); trace-level problems travel
-     *         through on_done instead.
+     *         overrun, data after end()); trace-level problems show
+     *         in error() and in run()'s answer instead.
      */
     bool feed(const char *data, std::size_t len, std::string &err);
 
@@ -148,12 +182,24 @@ class StreamSession
     /**
      * Cancel from any state (client hangup, daemon shutdown). The
      * engine unwinds through the simulator's cancellation path and
-     * on_done reports the abort; safe to call repeatedly and after
-     * completion.
+     * run() answers with the abort; safe to call repeatedly and
+     * after completion.
      */
     void abort();
 
-    /** True once on_done has fired (the engine is about to exit). */
+    /** Why the session failed so far ("" while healthy). */
+    std::string error();
+
+    /**
+     * Run the analysis on @p engine (reconfigured for this job):
+     * waits for the trace header, then consumes the operations,
+     * blocking for bytes still to arrive. Called exactly once, by the
+     * engine thread of a started session or by a worker-pool thread.
+     * @return the final report, or the error that ended the session
+     */
+    StreamFinal run(runtime::Simulator &engine);
+
+    /** True once run() has answered (or is about to). */
     bool finished() const
     {
         return finished_.load(std::memory_order_acquire);
@@ -190,14 +236,16 @@ class StreamSession
 
     class EngineProgram;
     class EngineBody;
-
-    void engineMain();
+    class ReplayBody;
 
     /** Engine-side blocking pop of thread @p tid's next operation. */
     bool popOp(ThreadId tid, runtime::Op &op);
 
     /** Pump the reader over buffered bytes; mutex_ held. */
     void drainLocked();
+
+    /** Refuse the trace (counted) and fail; mutex_ held. */
+    void rejectLocked(const std::string &message);
 
     /** Poison the session and cancel the engine; mutex_ held. */
     void failLocked(const std::string &message);
@@ -211,8 +259,8 @@ class StreamSession
 
     void fireCredit(std::uint64_t granted_total);
 
-    /** Fire on_done exactly once and settle the gauges. */
-    void finish(bool ok, const std::string &json);
+    /** Settle the gauges and mark the session finished. */
+    StreamFinal settle(bool ok, std::string json);
 
     StreamConfig config_;
     StreamCallbacks callbacks_;
@@ -225,10 +273,12 @@ class StreamSession
     std::size_t buf_pos_ = 0;
 
     BufSource source_{*this};
-    trace::TraceReader reader_{source_,
-                               trace::TraceReader::kUnknownSize};
+    trace::TraceReader reader_{source_, config_.trace_bytes, true};
 
-    /** Parsed-but-unexecuted operations, per thread. */
+    /**
+     * Parsed-but-unexecuted operations, per thread. A deque, so a
+     * stream's memory follows its credit window as ops are consumed.
+     */
     std::vector<std::deque<runtime::Op>> queues_;
 
     // --- credit accounting (bytes, cumulative) ---
@@ -239,6 +289,9 @@ class StreamSession
     /** Net stream.buffered_bytes gauge contribution outstanding. */
     std::int64_t net_gauge_ = 0;
     std::int64_t gauge_pending_ = 0;
+
+    /** Registry for stream.* metrics; set by start(). */
+    service::Metrics *stream_metrics_ = nullptr;
 
     // --- parse / lifecycle state (mutex_) ---
     bool header_ready_ = false;

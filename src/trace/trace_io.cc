@@ -78,9 +78,9 @@ TraceData::threadOps(ThreadId tid) const
 }
 
 TraceReader::TraceReader(ByteSource &source,
-                         std::uint64_t total_bytes)
+                         std::uint64_t total_bytes, bool resumable)
     : source_(source), total_bytes_(total_bytes),
-      streaming_(total_bytes == kUnknownSize)
+      streaming_(resumable || total_bytes == kUnknownSize)
 {
 }
 
@@ -116,7 +116,8 @@ TraceReader::readHeader()
 {
     if (header_ok_ || !error_.empty())
         return header_ok_;
-    if (!streaming_ && total_bytes_ < sizeof(TraceHeaderV1)) {
+    const bool sized = total_bytes_ != kUnknownSize;
+    if (sized && total_bytes_ < sizeof(TraceHeaderV1)) {
         error_ = "truncated header ("
             + std::to_string(total_bytes_) + " bytes, need "
             + std::to_string(sizeof(TraceHeaderV1)) + ")";
@@ -137,7 +138,7 @@ TraceReader::readHeader()
     std::memcpy(reinterpret_cast<char *>(&header), stash_.data(),
                 sizeof(TraceHeaderV1));
     if (header.magic == kMagic) {
-        if (!streaming_ && total_bytes_ < sizeof(TraceHeader)) {
+        if (sized && total_bytes_ < sizeof(TraceHeader)) {
             error_ = "truncated v2 header ("
                 + std::to_string(total_bytes_) + " bytes, need "
                 + std::to_string(sizeof(TraceHeader)) + ")";
@@ -165,11 +166,10 @@ TraceReader::readHeader()
         return false;
     }
 
-    // The size-consistency checks need the total up front; in
-    // streaming mode a short stream surfaces as truncation at the
-    // missing record instead, and trailing bytes are the feeding
-    // layer's to reject.
-    if (!streaming_) {
+    // The size-consistency checks need the total up front; without
+    // it a short stream surfaces as truncation at the missing record
+    // instead, and trailing bytes are the feeding layer's to reject.
+    if (sized) {
         const std::uint64_t payload = total_bytes_ - header_size;
         const std::uint64_t expected =
             header.record_count * sizeof(TraceRecord);

@@ -119,7 +119,7 @@ class IstreamSource : public ByteSource
  * with a precise error(); a poisoned reader never yields records.
  *
  * **Streaming mode** (total size unknown up front — chunked network
- * ingestion): construct with kUnknownSize. The source returning 0
+ * ingestion): construct with resumable = true. The source returning 0
  * then means "no bytes available right now", not truncation: the
  * reader stashes any partial header/record — including a chunk
  * boundary that splits a record at its very first byte — and
@@ -127,10 +127,11 @@ class IstreamSource : public ByteSource
  * retried once the caller has fed the source more bytes. Call
  * endOfStream() when the producer is done; after that a short read is
  * a truncation error again, and done() requires every declared record
- * to have arrived. Size-vs-header consistency checks that need the
- * total up front are deferred: a short stream surfaces as truncation
- * at the missing record, trailing garbage is the caller's to detect
- * (bytes left in its buffer after done()).
+ * to have arrived. When the total is known (a framed upload), the
+ * size-vs-header consistency checks still run from the header;
+ * with kUnknownSize they are deferred: a short stream surfaces as
+ * truncation at the missing record, trailing garbage is the caller's
+ * to detect (bytes left in its buffer after done()).
  *
  * TraceData::load() is a thin wrapper; hdrd_served uses the reader
  * directly so a bad trace is rejected from its header without
@@ -145,9 +146,12 @@ class TraceReader
     /**
      * @param source byte stream positioned at the first header byte
      * @param total_bytes declared total size of the trace in bytes,
-     *        or kUnknownSize for resumable streaming mode
+     *        or kUnknownSize
+     * @param resumable streaming mode (see the class comment); always
+     *        on for kUnknownSize
      */
-    TraceReader(ByteSource &source, std::uint64_t total_bytes);
+    TraceReader(ByteSource &source, std::uint64_t total_bytes,
+                bool resumable = false);
 
     /**
      * Parse and validate the header.

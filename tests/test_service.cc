@@ -205,13 +205,13 @@ TEST(Protocol, FrameRoundTripOverSocketpair)
     int fds[2];
     ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
     const std::string payload = "{\"hello\": \"world\"}";
-    ASSERT_TRUE(writeFrame(fds[0], FrameType::kReport, payload));
+    ASSERT_TRUE(writeFrame(fds[0], FrameType::kStatsReply, payload));
 
     FrameHeader header;
     std::string err;
     ASSERT_TRUE(readFrameHeader(fds[1], header, err)) << err;
     EXPECT_EQ(static_cast<FrameType>(header.type),
-              FrameType::kReport);
+              FrameType::kStatsReply);
     std::string got;
     ASSERT_TRUE(readPayload(fds[1], header.length, got));
     EXPECT_EQ(got, payload);
@@ -239,7 +239,7 @@ TEST(Protocol, OversizeFrameRejected)
     int fds[2];
     ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
     FrameHeader header;
-    header.type = static_cast<std::uint32_t>(FrameType::kSubmit);
+    header.type = static_cast<std::uint32_t>(FrameType::kSubmitJob);
     header.length = kMaxFrameLength + 1;
     ASSERT_EQ(::write(fds[0], &header, sizeof(header)),
               static_cast<ssize_t>(sizeof(header)));
@@ -496,7 +496,7 @@ TEST(ServerEndToEnd, SubmitStatsPingAndRejects)
     ASSERT_TRUE(pong.transport_ok);
     EXPECT_EQ(pong.type, FrameType::kPong);
 
-    // SUBMIT twice: byte-identical deterministic reports.
+    // SUBMIT_JOB twice: byte-identical deterministic reports.
     JobOptions options;
     options.flags = kJobOmitHostTiming;
     const Response first = client.submit(options, image);
@@ -512,7 +512,7 @@ TEST(ServerEndToEnd, SubmitStatsPingAndRejects)
     const Response bad =
         client.submit(options, "this is not a trace image");
     ASSERT_TRUE(bad.transport_ok);
-    EXPECT_EQ(bad.type, FrameType::kError);
+    EXPECT_EQ(bad.type, FrameType::kJobError);
     EXPECT_NE(bad.payload.find("truncated header"),
               std::string::npos)
         << bad.payload;
@@ -522,7 +522,7 @@ TEST(ServerEndToEnd, SubmitStatsPingAndRejects)
     bad_options.mode = 77;
     const Response invalid = client.submit(bad_options, image);
     ASSERT_TRUE(invalid.transport_ok);
-    EXPECT_EQ(invalid.type, FrameType::kError);
+    EXPECT_EQ(invalid.type, FrameType::kJobError);
 
     // STATS reflects the completed jobs.
     const Response stats = client.stats();

@@ -102,15 +102,18 @@ rawConnect(const std::string &path)
     return fd;
 }
 
-/** Serialize one sequential SUBMIT frame into a byte string. */
+/** Serialize one SUBMIT_JOB frame into a byte string. */
 std::string
-submitFrameBytes(const JobOptions &options, const std::string &image)
+submitFrameBytes(const JobOptions &options, const std::string &image,
+                 std::uint64_t job_id = 1)
 {
     FrameHeader header;
-    header.type = static_cast<std::uint32_t>(FrameType::kSubmit);
-    header.length = sizeof(options) + image.size();
+    header.type = static_cast<std::uint32_t>(FrameType::kSubmitJob);
+    header.length = sizeof(job_id) + sizeof(options) + image.size();
     std::string bytes(reinterpret_cast<const char *>(&header),
                       sizeof(header));
+    bytes.append(reinterpret_cast<const char *>(&job_id),
+                 sizeof(job_id));
     bytes.append(reinterpret_cast<const char *>(&options),
                  sizeof(options));
     bytes.append(image);
@@ -153,7 +156,7 @@ TEST(ServiceConcurrency, SlowLorisDoesNotStallOtherClients)
     const std::string image = traceImage("loris", 0);
     const std::string frame = submitFrameBytes(quietOptions(), image);
 
-    // The loris trickles a valid SUBMIT frame out in small chunks
+    // The loris trickles a valid SUBMIT_JOB frame out in small chunks
     // over a couple of seconds, then expects its report like any
     // other client.
     std::atomic<bool> loris_done{false};
@@ -179,7 +182,7 @@ TEST(ServiceConcurrency, SlowLorisDoesNotStallOtherClients)
             && readPayload(fd, header.length, payload))
             loris_ok.store(header.type
                            == static_cast<std::uint32_t>(
-                               FrameType::kReport));
+                               FrameType::kJobReport));
         ::close(fd);
     });
 
@@ -216,7 +219,7 @@ TEST(ServiceConcurrency, PipelinedJobsInterleaveOnOneSocket)
     const std::string alpha = traceImage("alpha", 1);
     const std::string beta = traceImage("beta", 2);
 
-    // Golden per-trace reports via the sequential path.
+    // Golden per-trace reports, one window-1 submit at a time.
     Client seq;
     ASSERT_TRUE(seq.connectUnix(path, err)) << err;
     const Response golden_alpha = seq.submit(quietOptions(), alpha);
@@ -372,7 +375,7 @@ TEST(ServiceConcurrency, BusyStormThenRecovery)
     ASSERT_FALSE(report_payload.empty());
 
     // After the storm the same connection recovers: retry every
-    // rejected job sequentially until it lands.
+    // rejected job one at a time until it lands.
     for (std::size_t i = 0; i < busy; ++i) {
         Response resp;
         for (int attempt = 0; attempt < 200; ++attempt) {
@@ -385,6 +388,58 @@ TEST(ServiceConcurrency, BusyStormThenRecovery)
         ASSERT_TRUE(resp.isReport()) << resp.payload;
         EXPECT_EQ(resp.payload, report_payload);
     }
+    server.stop();
+}
+
+TEST(ServiceConcurrency, ConnectionLimitAnswersBusyNotDead)
+{
+    ServerConfig config;
+    config.unix_path = sockPath("maxconns");
+    config.workers = 1;
+    config.max_connections = 1;
+    Server server(std::move(config));
+    std::string err;
+    ASSERT_TRUE(server.start(err)) << err;
+    const std::string path = sockPath("maxconns");
+    const std::string image = traceImage("maxconns", 6);
+
+    // Hold the only slot; the round trip proves it was accepted.
+    Client holder;
+    ASSERT_TRUE(holder.connectUnix(path, err)) << err;
+    ASSERT_TRUE(holder.ping().transport_ok);
+
+    // The acceptor answers BUSY with a retry hint and closes. The
+    // client must surface that answer whether its submit frame went
+    // out before the close or hit the closed socket (EPIPE).
+    for (const int settle_ms : {0, 100}) {
+        Client late;
+        ASSERT_TRUE(late.connectUnix(path, err)) << err;
+        std::this_thread::sleep_for(
+            std::chrono::milliseconds(settle_ms));
+        const Response resp = late.submit(quietOptions(), image);
+        ASSERT_TRUE(resp.isBusy())
+            << "settle " << settle_ms << " ms: " << resp.payload;
+        EXPECT_GT(resp.retry_after_ms, 0u);
+        EXPECT_NE(resp.payload.find("connection limit"),
+                  std::string::npos)
+            << resp.payload;
+    }
+
+    // A pipelined batch is refused as a whole.
+    Client batch;
+    ASSERT_TRUE(batch.connectUnix(path, err)) << err;
+    std::vector<PipelineSubmission> jobs(3);
+    for (auto &job : jobs) {
+        job.options = quietOptions();
+        job.trace_bytes = &image;
+    }
+    for (const Response &resp : batch.submitPipelined(jobs, 2)) {
+        EXPECT_TRUE(resp.isBusy()) << resp.payload;
+        EXPECT_GT(resp.retry_after_ms, 0u);
+    }
+
+    // The held connection still gets full service.
+    EXPECT_TRUE(holder.submit(quietOptions(), image).isReport());
     server.stop();
 }
 

@@ -1,10 +1,10 @@
 /**
  * @file
- * HDS1 protocol fuzz tests: byte-mangled, truncated, and oversized
- * frames, malformed JobOptions, and torn connections must yield
- * clean protocol errors — never crashes, hangs, or stuck
- * connections. Runs under the ASan+UBSan ctest config like every
- * other unit.
+ * HDS2 protocol fuzz tests: byte-mangled, truncated, and oversized
+ * frames, malformed JobOptions, retired HDS1 frames, and torn
+ * connections must yield clean protocol errors — never crashes,
+ * hangs, or stuck connections. Runs under the ASan+UBSan ctest
+ * config like every other unit.
  */
 
 #include <gtest/gtest.h>
@@ -46,6 +46,22 @@ sockPath(const char *tag)
         + ".sock";
 }
 
+/** TRC2 image of @p per_thread. */
+std::string
+imageOf(std::vector<std::vector<runtime::Op>> per_thread)
+{
+    const trace::TraceData data =
+        trace::TraceData::fromOps("fuzz", std::move(per_thread));
+    const std::string path =
+        std::string(::testing::TempDir()) + "hdrd_fuzz.trc";
+    EXPECT_TRUE(data.save(path));
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream os;
+    os << in.rdbuf();
+    std::remove(path.c_str());
+    return os.str();
+}
+
 std::string
 tinyImage()
 {
@@ -57,16 +73,7 @@ tinyImage()
         per_thread[0].push_back(Op::work(2));
         per_thread[1].push_back(Op::work(5));
     }
-    const trace::TraceData data =
-        trace::TraceData::fromOps("fuzz", std::move(per_thread));
-    const std::string path =
-        std::string(::testing::TempDir()) + "hdrd_fuzz.trc";
-    EXPECT_TRUE(data.save(path));
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream os;
-    os << in.rdbuf();
-    std::remove(path.c_str());
-    return os.str();
+    return imageOf(std::move(per_thread));
 }
 
 int
@@ -94,7 +101,7 @@ rawConnect(const std::string &path)
 
 std::string
 frameBytes(std::uint32_t type, const std::string &payload,
-           const char *magic = "HDS1",
+           const char *magic = "HDS2",
            std::uint64_t claimed_length = UINT64_MAX)
 {
     FrameHeader header;
@@ -108,11 +115,15 @@ frameBytes(std::uint32_t type, const std::string &payload,
     return bytes;
 }
 
+/** A SUBMIT_JOB payload: job id, options, trace image. */
 std::string
-submitPayload(const JobOptions &options, const std::string &image)
+submitPayload(const JobOptions &options, const std::string &image,
+              std::uint64_t job_id = 1)
 {
-    std::string payload(reinterpret_cast<const char *>(&options),
-                        sizeof(options));
+    std::string payload(reinterpret_cast<const char *>(&job_id),
+                        sizeof(job_id));
+    payload.append(reinterpret_cast<const char *>(&options),
+                   sizeof(options));
     payload.append(image);
     return payload;
 }
@@ -250,7 +261,7 @@ TEST(ServiceFuzz, UnknownAndResponseFrameTypesAreRefused)
         const int fd = rawConnect(fixture.path);
         ASSERT_GE(fd, 0);
         const std::string frame = frameBytes(
-            static_cast<std::uint32_t>(FrameType::kReport), "");
+            static_cast<std::uint32_t>(FrameType::kJobReport), "");
         ASSERT_TRUE(writeAllFd(fd, frame.data(), frame.size()));
         expectErrorContaining(fd, "unexpected response-type frame",
                               true);
@@ -265,7 +276,7 @@ TEST(ServiceFuzz, OversizedFrameLengthIsRefusedBeforeBuffering)
     const int fd = rawConnect(fixture.path);
     ASSERT_GE(fd, 0);
     const std::string frame = frameBytes(
-        static_cast<std::uint32_t>(FrameType::kSubmit), "", "HDS1",
+        static_cast<std::uint32_t>(FrameType::kSubmitJob), "", "HDS2",
         kMaxFrameLength + 1);
     ASSERT_TRUE(writeAllFd(fd, frame.data(), frame.size()));
     expectErrorContaining(fd, "exceeds protocol limit", true);
@@ -280,12 +291,10 @@ TEST(ServiceFuzz, TraceOverServerLimitIsRefused)
     ASSERT_GE(fd, 0);
     // Claim an 8 KiB trace against a 4 KiB server cap; the refusal
     // must arrive before any trace byte is sent.
-    const JobOptions options = quietOptions();
+    const std::string prefix = submitPayload(quietOptions(), "");
     const std::string frame = frameBytes(
-        static_cast<std::uint32_t>(FrameType::kSubmit),
-        std::string(reinterpret_cast<const char *>(&options),
-                    sizeof(options)),
-        "HDS1", sizeof(options) + 8192);
+        static_cast<std::uint32_t>(FrameType::kSubmitJob), prefix,
+        "HDS2", prefix.size() + 8192);
     ASSERT_TRUE(writeAllFd(fd, frame.data(), frame.size()));
     expectErrorContaining(fd, "exceeds server limit", true);
     ::close(fd);
@@ -297,19 +306,30 @@ TEST(ServiceFuzz, ShortSubmitPayloadKeepsConnectionUsable)
     FuzzServer fixture("short");
     const int fd = rawConnect(fixture.path);
     ASSERT_GE(fd, 0);
+    // Room for the job id, not for the options: the refusal is keyed.
     const std::string frame = frameBytes(
-        static_cast<std::uint32_t>(FrameType::kSubmit),
+        static_cast<std::uint32_t>(FrameType::kSubmitJob),
         std::string(10, 'x'));
     ASSERT_TRUE(writeAllFd(fd, frame.data(), frame.size()));
-    expectErrorContaining(fd, "too short for job options", false);
+    FrameType type = FrameType::kPong;
+    std::string payload;
+    ASSERT_EQ(readResponse(fd, type, payload), "");
+    EXPECT_EQ(type, FrameType::kJobError);
+    std::uint64_t echoed = 0;
+    std::string json;
+    ASSERT_TRUE(splitJobPayload(payload, echoed, json));
+    std::uint64_t sent_id = 0;
+    std::memcpy(&sent_id, "xxxxxxxx", sizeof(sent_id));
+    EXPECT_EQ(echoed, sent_id);
+    EXPECT_NE(json.find("too short for job options"),
+              std::string::npos)
+        << json;
 
     // Malformed input is the client's problem, not a protocol
     // violation: the same connection still serves.
     const std::string ping =
         frameBytes(static_cast<std::uint32_t>(FrameType::kPing), "");
     ASSERT_TRUE(writeAllFd(fd, ping.data(), ping.size()));
-    FrameType type = FrameType::kError;
-    std::string payload;
     ASSERT_EQ(readResponse(fd, type, payload), "");
     EXPECT_EQ(type, FrameType::kPong);
     ::close(fd);
@@ -346,7 +366,7 @@ TEST(ServiceFuzz, MalformedJobOptionsAreRejectedFieldByField)
     for (const Case &c : cases) {
         const Response resp = client.submit(c.options, image);
         ASSERT_TRUE(resp.transport_ok) << c.what;
-        EXPECT_EQ(resp.type, FrameType::kError) << c.what;
+        EXPECT_EQ(resp.type, FrameType::kJobError) << c.what;
         EXPECT_NE(resp.payload.find("\"status\": \"error\""),
                   std::string::npos)
             << c.what << ": " << resp.payload;
@@ -360,13 +380,15 @@ TEST(ServiceFuzz, TruncatedFramesNeverWedgeTheServer)
     FuzzServer fixture("trunc");
     const std::string image = tinyImage();
     const std::string whole = frameBytes(
-        static_cast<std::uint32_t>(FrameType::kSubmit),
+        static_cast<std::uint32_t>(FrameType::kSubmitJob),
         submitPayload(quietOptions(), image));
 
     // Cut the stream at awkward places: inside the header, inside
-    // the options block, inside the trace header, inside records.
-    const std::size_t cuts[] = {3, 9, 16, 16 + 60, 16 + 168,
-                                16 + 168 + 40, whole.size() - 5};
+    // the job id, inside the options block, inside the trace header,
+    // inside records.
+    const std::size_t cuts[] = {3, 9, 16, 16 + 4, 16 + 8 + 60,
+                                16 + 8 + 168, 16 + 8 + 168 + 40,
+                                whole.size() - 5};
     for (const std::size_t cut : cuts) {
         const int fd = rawConnect(fixture.path);
         ASSERT_GE(fd, 0);
@@ -400,7 +422,7 @@ TEST(ServiceFuzz, SeededByteManglingNeverCrashesOrWedges)
     FuzzServer fixture("mangle");
     const std::string image = tinyImage();
     const std::string whole = frameBytes(
-        static_cast<std::uint32_t>(FrameType::kSubmit),
+        static_cast<std::uint32_t>(FrameType::kSubmitJob),
         submitPayload(quietOptions(), image));
 
     FuzzRng rng(0x48445244); // "HDRD"
@@ -436,10 +458,8 @@ TEST(ServiceFuzz, MangledPipelinedFramesKeepKeyedResponsesSane)
     FuzzRng rng(0x31534448); // "HDS1"
     for (int iter = 0; iter < 16; ++iter) {
         const std::uint64_t job_id = 7000 + iter;
-        std::string payload;
-        payload.append(reinterpret_cast<const char *>(&job_id),
-                       sizeof(job_id));
-        payload.append(submitPayload(quietOptions(), image));
+        std::string payload =
+            submitPayload(quietOptions(), image, job_id);
         // Mangle strictly after the job id so the reject stays
         // correlatable.
         const std::size_t at = sizeof(job_id)
@@ -464,75 +484,81 @@ TEST(ServiceFuzz, MangledPipelinedFramesKeepKeyedResponsesSane)
     fixture.expectAlive();
 }
 
-TEST(ServiceFuzz, MidHelloDisconnectLeavesServerServing)
+TEST(ServiceFuzz, RetiredHds1FramesAreRefusedAndClosed)
 {
-    FuzzServer fixture("hello_cut");
+    FuzzServer fixture("retired");
 
-    // Cut the connection at every interesting point inside a HELLO
-    // exchange: mid-header, after the header with the payload
-    // promised but never sent, and mid-payload.
-    const std::string whole = frameBytes(
-        static_cast<std::uint32_t>(FrameType::kHello),
-        std::string(4, '\x01'));
-    const std::size_t cuts[] = {1, sizeof(FrameHeader) - 3,
-                                sizeof(FrameHeader),
-                                sizeof(FrameHeader) + 2};
-    for (const std::size_t cut : cuts) {
+    // HDS1 was retired whole: its magic, its sequential SUBMIT (type
+    // 1), and its HELLO (type 5) each get an ERROR and a close.
+    struct Case
+    {
+        std::string frame;
+        const char *needle;
+    };
+    const Case cases[] = {
+        {frameBytes(static_cast<std::uint32_t>(FrameType::kPing), "",
+                    "HDS1"),
+         "unsupported protocol version HDS1"},
+        {frameBytes(static_cast<std::uint32_t>(FrameType::kSubmitJob),
+                    submitPayload(quietOptions(), tinyImage()), "HDS1"),
+         "unsupported protocol version HDS1"},
+        {frameBytes(1, submitPayload(quietOptions(), tinyImage())),
+         "unknown frame type 1"},
+        {frameBytes(5, std::string(4, '\x01')), "unknown frame type 5"},
+    };
+    for (const Case &c : cases) {
         const int fd = rawConnect(fixture.path);
         ASSERT_GE(fd, 0);
-        ASSERT_TRUE(writeAllFd(fd, whole.data(), cut));
+        // The server may close before reading the whole frame; EPIPE
+        // here is fine.
+        writeAllFd(fd, c.frame.data(), c.frame.size());
+        expectErrorContaining(fd, c.needle, true);
         ::close(fd);
         fixture.expectAlive();
     }
 }
 
-TEST(ServiceFuzz, HelloVersionSkewIsAnsweredNotFatal)
+TEST(ServiceFuzz, OpsTheEngineCannotRunAreAJobErrorNotACrash)
 {
-    FuzzServer fixture("hello_skew");
+    FuzzServer fixture("engine_reject");
 
-    // The minor version is informational (every 1.x client speaks a
-    // subset), so a from-the-future minor, an empty payload, a short
-    // payload, and an oversized one must all get a HELLO_REPLY on a
-    // connection that keeps serving.
-    std::vector<std::string> payloads;
-    payloads.push_back([] {
-        std::string p(4, '\0');
-        const std::uint32_t minor = 0xffffffffu;
-        std::memcpy(p.data(), &minor, sizeof(minor));
-        return p;
-    }());
-    payloads.push_back("");                    // no minor at all
-    payloads.push_back(std::string(2, '\x07'));  // truncated minor
-    payloads.push_back(std::string(64, '\x5a')); // trailing junk
-
-    for (const std::string &payload : payloads) {
-        const int fd = rawConnect(fixture.path);
-        ASSERT_GE(fd, 0);
-        const std::string frame = frameBytes(
-            static_cast<std::uint32_t>(FrameType::kHello), payload);
-        ASSERT_TRUE(writeAllFd(fd, frame.data(), frame.size()));
-
-        FrameType type = FrameType::kError;
-        std::string body;
-        ASSERT_EQ(readResponse(fd, type, body), "");
-        EXPECT_EQ(type, FrameType::kHelloReply);
-        EXPECT_NE(body.find("\"protocol\": \"HDS1.2\""),
+    // Well-formed records whose operations break the engine's
+    // invariants: an unlock of a lock never taken, a read-unlock of
+    // an unknown rwlock, and a deadlock. Each is the job's error;
+    // the daemon keeps serving.
+    using runtime::Op;
+    const std::vector<std::vector<std::vector<Op>>> programs = {
+        {{Op::unlock(7)}},
+        {{Op::rdUnlock(2)}},
+        {{Op::lock(1), Op::lock(2), Op::unlock(2), Op::unlock(1)},
+         {Op::lock(2), Op::lock(1), Op::unlock(1), Op::unlock(2)}},
+    };
+    Client client;
+    std::string err;
+    ASSERT_TRUE(client.connectUnix(fixture.path, err)) << err;
+    for (const auto &program : programs) {
+        const std::string image = imageOf(program);
+        const Response resp = client.submit(quietOptions(), image);
+        ASSERT_TRUE(resp.transport_ok);
+        EXPECT_EQ(resp.type, FrameType::kJobError) << resp.payload;
+        EXPECT_NE(resp.payload.find("trace rejected"),
                   std::string::npos)
-            << body;
+            << resp.payload;
 
-        // Still a working connection: pipelined submits go through.
-        const std::uint64_t job_id = 99;
-        ASSERT_TRUE(writeFrame(
-            fd, FrameType::kSubmitJob,
-            jobPayload(job_id,
-                       submitPayload(quietOptions(), tinyImage()))));
-        ASSERT_EQ(readResponse(fd, type, body), "");
-        ASSERT_EQ(type, FrameType::kJobReport);
-        std::uint64_t echoed = 0;
-        std::string json;
-        ASSERT_TRUE(splitJobPayload(body, echoed, json));
-        EXPECT_EQ(echoed, job_id);
-        ::close(fd);
+        Client streamer;
+        ASSERT_TRUE(streamer.connectUnix(fixture.path, err)) << err;
+        std::size_t pos = 0;
+        const Response streamed = streamer.submitStream(
+            quietOptions(), "bad", [&](char *dst, std::size_t max) {
+                const std::size_t n = std::min(max, image.size() - pos);
+                std::memcpy(dst, image.data() + pos, n);
+                pos += n;
+                return n;
+            });
+        ASSERT_TRUE(streamed.transport_ok);
+        EXPECT_EQ(streamed.type, FrameType::kJobError)
+            << streamed.payload;
+        fixture.expectAlive();
     }
-    fixture.expectAlive();
+    EXPECT_TRUE(client.submit(quietOptions(), tinyImage()).isReport());
 }

@@ -4,9 +4,10 @@
  * ingestion (final reports independent of chunk boundaries), partial
  * report byte-stability, credit flow control (including the
  * emergency-grant escape from skewed traces), abort/truncation
- * handling, and the HDS1.2 server plane end to end — streamed finals
- * byte-identical to buffered reports, ATTACH fanout, and client-kill
- * session recovery with gauges settling back to zero.
+ * handling, and the server plane end to end — streamed finals
+ * byte-identical to SUBMIT_JOB reports, exactly one reply per
+ * SUBMIT_JOB, ATTACH fanout, and client-kill session recovery with
+ * gauges settling back to zero.
  */
 
 #include <gtest/gtest.h>
@@ -340,7 +341,7 @@ TEST(StreamSession, AbortUnwindsAndReportsOnce)
 }
 
 // ---------------------------------------------------------------------
-// Server end to end: HDS1.2 streamed submit, follow, and recovery
+// Server end to end: streamed submit, follow, and recovery
 // ---------------------------------------------------------------------
 
 namespace
@@ -399,6 +400,43 @@ rawConnect(const std::string &path)
                         sizeof(addr)),
               0);
     return fd;
+}
+
+/** Bound every read on @p fd so a missing reply fails, not hangs. */
+void
+readTimeout(int fd)
+{
+    timeval tv{};
+    tv.tv_sec = 10;
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+}
+
+/** Read one frame; false on timeout or close. */
+bool
+readFrame(int fd, FrameType &type, std::string &payload)
+{
+    FrameHeader header;
+    std::string err;
+    if (!readFrameHeader(fd, header, err)
+        || !readPayload(fd, header.length, payload))
+        return false;
+    type = static_cast<FrameType>(header.type);
+    return true;
+}
+
+/** Skip frames until a final (JOB_REPORT/JOB_ERROR) keyed @p id. */
+bool
+readFinal(int fd, std::uint64_t id, FrameType &type, std::string &json)
+{
+    std::string payload;
+    while (readFrame(fd, type, payload)) {
+        std::uint64_t got = 0;
+        if ((type == FrameType::kJobReport
+             || type == FrameType::kJobError)
+            && splitJobPayload(payload, got, json) && got == id)
+            return true;
+    }
+    return false;
 }
 
 } // namespace
@@ -580,4 +618,104 @@ TEST(ServerStream, ClientKillMidStreamLeaksNothing)
     // The daemon still serves buffered jobs afterwards.
     const Response after = client.submit(options, image);
     EXPECT_TRUE(after.isReport()) << after.payload;
+}
+
+TEST(ServerStream, SubmitJobGetsExactlyOneReply)
+{
+    // The stream buffer (64 KiB) is smaller than the trace and the
+    // partial interval (200 ops) below its op count: a streamed
+    // session would send CREDIT and JOB_PARTIAL frames here. A
+    // SUBMIT_JOB gets its JOB_REPORT and nothing else.
+    TestServer ts("onereply");
+    const std::string image = traceImage(racyTrace(2000), "onereply");
+    ASSERT_GT(image.size(), 64u * 1024);
+
+    const int fd = rawConnect(ts.path);
+    readTimeout(fd);
+    JobOptions options;
+    options.flags = kJobOmitHostTiming;
+    std::string body(reinterpret_cast<const char *>(&options),
+                     sizeof(options));
+    body.append(image);
+    ASSERT_TRUE(writeJobFrame(fd, FrameType::kSubmitJob, 41, body));
+
+    FrameType type = FrameType::kError;
+    std::string payload;
+    ASSERT_TRUE(readFrame(fd, type, payload));
+    ASSERT_EQ(type, FrameType::kJobReport);
+    std::uint64_t id = 0;
+    std::string json;
+    ASSERT_TRUE(splitJobPayload(payload, id, json));
+    EXPECT_EQ(id, 41u);
+    EXPECT_EQ(json.find("\"partial\""), std::string::npos);
+
+    // Nothing trails the report: the next frame answers a PING.
+    ASSERT_TRUE(writeFrame(fd, FrameType::kPing, ""));
+    ASSERT_TRUE(readFrame(fd, type, payload));
+    EXPECT_EQ(type, FrameType::kPong);
+    ::close(fd);
+
+    Client client;
+    std::string err;
+    ASSERT_TRUE(client.connectUnix(ts.path, err)) << err;
+    const Response stats = client.stats();
+    ASSERT_TRUE(stats.transport_ok);
+    EXPECT_EQ(stats.payload.find("stream.credits_issued"),
+              std::string::npos)
+        << stats.payload;
+    EXPECT_EQ(stats.payload.find("stream.partials_emitted"),
+              std::string::npos)
+        << stats.payload;
+}
+
+TEST(ServerStream, FollowerFinalLeavesSameIdUploadRunning)
+{
+    TestServer ts("sameid");
+    const std::string image_a = traceImage(racyTrace(50), "sameid_a");
+    const std::string image_b = traceImage(racyTrace(60), "sameid_b");
+    JobOptions options;
+    options.flags = kJobOmitHostTiming;
+
+    Client poller;
+    std::string err;
+    ASSERT_TRUE(poller.connectUnix(ts.path, err)) << err;
+    const Response golden_b = poller.submit(options, image_b);
+    ASSERT_TRUE(golden_b.isReport()) << golden_b.payload;
+
+    // Session A, uploaded from its own connection.
+    const int owner = rawConnect(ts.path);
+    readTimeout(owner);
+    ASSERT_TRUE(writeFrame(owner, FrameType::kSubmitStream,
+                           streamOpenPayload(1, "a", options)));
+    ASSERT_TRUE(awaitGauge(poller, "stream.active_sessions", 1));
+
+    // One connection follows A under id 7, then uploads B under the
+    // same wire id 7.
+    const int fd = rawConnect(ts.path);
+    readTimeout(fd);
+    ASSERT_TRUE(writeFrame(fd, FrameType::kAttach, attachPayload(7, "a")));
+    ASSERT_TRUE(writeFrame(fd, FrameType::kSubmitStream,
+                           streamOpenPayload(7, "b", options)));
+    ASSERT_TRUE(awaitGauge(poller, "stream.active_sessions", 2));
+
+    // A finishes; its final reaches the follower keyed 7.
+    ASSERT_TRUE(writeJobFrame(owner, FrameType::kSubmitData, 1, image_a));
+    ASSERT_TRUE(writeJobFrame(owner, FrameType::kSubmitEnd, 1, ""));
+    FrameType type = FrameType::kError;
+    std::string json;
+    ASSERT_TRUE(readFinal(fd, 7, type, json));
+    ASSERT_EQ(type, FrameType::kJobReport) << json;
+    EXPECT_NE(json, golden_b.payload);
+
+    // B's upload is still live and answers with its own report.
+    ASSERT_TRUE(writeJobFrame(fd, FrameType::kSubmitData, 7, image_b));
+    ASSERT_TRUE(writeJobFrame(fd, FrameType::kSubmitEnd, 7, ""));
+    ASSERT_TRUE(readFinal(fd, 7, type, json))
+        << "B's final never arrived";
+    ASSERT_EQ(type, FrameType::kJobReport) << json;
+    EXPECT_EQ(json, golden_b.payload);
+
+    ::close(fd);
+    ::close(owner);
+    EXPECT_TRUE(awaitGauge(poller, "stream.active_sessions", 0));
 }

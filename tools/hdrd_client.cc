@@ -11,9 +11,9 @@
  *   hdrd_client --daemons=a.sock,b.sock,9401 --out=cluster.json *.trc
  *   hdrd_client --merge --out=cluster.json agg_a.json agg_b.json
  *
- * --pipeline=N keeps one connection per stream alive and keeps up to
- * N HDS1.1 SUBMIT_JOB frames in flight on it, correlating the
- * out-of-order responses by job id (requires an HDS1.1 server).
+ * Each of the --parallel connections is kept alive and carries its
+ * job list as SUBMIT_JOB frames, up to --pipeline (default 1) in
+ * flight, correlating the out-of-order responses by job id.
  *
  * --daemons=LIST turns on fleet mode: jobs are placed over the
  * daemons by consistent hash (service/router.hh), pipelined per
@@ -72,14 +72,14 @@ struct Options
     bool summary = false;
     bool merge = false;          ///< offline agg-file merge
     bool merge_metrics = false;  ///< offline metrics merge
-    bool stream = false;         ///< HDS1.2 chunked upload
+    bool stream = false;         ///< chunked SUBMIT_STREAM upload
     bool partials = false;       ///< print streamed partial reports
     std::string session;         ///< --stream session name
     std::string follow;          ///< attach to this live session
     std::uint32_t parallel = 1;
     std::uint32_t repeat = 1;
     std::uint32_t retries = 0;
-    std::uint32_t pipeline = 0;  ///< 0 = sequential submits
+    std::uint32_t pipeline = 1;  ///< SUBMIT_JOB window
 
     std::uint64_t retry_seed = 1;
     std::uint32_t max_attempts = 8;
@@ -125,12 +125,12 @@ usage()
         "(determinism)\n"
         "  --parallel=N      N concurrent connections (stress/"
         "backpressure)\n"
-        "  --pipeline=N      keep up to N jobs in flight per "
-        "connection\n"
-        "                    (HDS1.1 SUBMIT_JOB; default sequential)\n"
-        "  --stream          upload the (single) trace as HDS1.2\n"
-        "                    SUBMIT_DATA chunks under server credit;\n"
-        "                    '-' streams the trace from stdin\n"
+        "  --pipeline=N      keep up to N SUBMIT_JOB frames in flight "
+        "per\n"
+        "                    connection (default 1)\n"
+        "  --stream          upload the (single) trace as SUBMIT_DATA\n"
+        "                    chunks under server credit; '-' streams\n"
+        "                    the trace from stdin\n"
         "  --session=NAME    streaming session name others can "
         "--follow\n"
         "                    (default: the trace basename)\n"
@@ -366,24 +366,6 @@ connectTo(const Options &opt, service::Client &client,
     return opt.tcp_port != 0
         ? client.connectTcp(opt.tcp_port, err)
         : client.connectUnix(opt.socket_path, err);
-}
-
-/** One submission with BUSY retries. */
-service::Response
-submitWithRetry(const Options &opt, service::Client &client,
-                const std::string &path)
-{
-    service::Response response =
-        client.submitFile(opt.job, path);
-    for (std::uint32_t attempt = 0;
-         response.isBusy() && attempt < opt.retries; ++attempt) {
-        const std::uint64_t wait =
-            std::max<std::uint64_t>(response.retry_after_ms, 1);
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(wait));
-        response = client.submitFile(opt.job, path);
-    }
-    return response;
 }
 
 std::string
@@ -644,7 +626,7 @@ runFollow(const Options &opt)
     }
     if (!response.isReport()
         && response.type != service::FrameType::kJobError) {
-        // Attach refused (no such session) or a pre-1.2 server.
+        // Attach refused (no such session) or the connection was.
         std::fprintf(stderr, "hdrd_client: protocol: %s: %s\n",
                      opt.follow.c_str(), response.payload.c_str());
         return 1;
@@ -653,7 +635,7 @@ runFollow(const Options &opt)
     return response.isReport() ? 0 : 1;
 }
 
-/** --stream: chunked HDS1.2 upload from a file or stdin. */
+/** --stream: chunked upload from a file or stdin. */
 int
 runStream(const Options &opt)
 {
@@ -675,23 +657,6 @@ runStream(const Options &opt)
     if (!connectTo(opt, client, err)) {
         printTransport(path, err, client.lastErrno());
         return 3;
-    }
-
-    const service::Response hello = client.hello();
-    if (!hello.transport_ok) {
-        printTransport(path, hello.payload,
-                       hello.transport_errno);
-        return 3;
-    }
-    std::int64_t minor = 0;
-    if (hello.type != service::FrameType::kHelloReply
-        || !service::Router::metricValue(hello.payload, "minor",
-                                         minor)
-        || minor < 2) {
-        std::fprintf(stderr,
-                     "hdrd_client: protocol: server does not speak "
-                     "HDS1.2 streaming\n");
-        return 1;
     }
 
     const std::string name = !opt.session.empty()
@@ -753,8 +718,7 @@ runFleet(const Options &opt)
     }
 
     const std::vector<service::SubmitResult> outcomes =
-        router.submitBatch(jobs,
-                           std::max<std::size_t>(1, opt.pipeline));
+        router.submitBatch(jobs, opt.pipeline);
 
     std::vector<Result> results;
     results.reserve(outcomes.size());
@@ -830,40 +794,18 @@ main(int argc, char **argv)
         * opt.repeat);
     std::atomic<std::size_t> slot{0};
 
-    // --pipeline: every distinct trace is loaded once, up front, so
-    // file I/O never sits on the submission hot path.
+    // Every distinct trace is loaded once, up front, so file I/O
+    // never sits on the submission hot path.
     std::map<std::string, std::string> images;
-    if (opt.pipeline > 0) {
-        for (const std::string &path : opt.traces) {
-            if (images.count(path) == 0)
-                images[path] = slurp(path);
-        }
+    for (const std::string &path : opt.traces) {
+        if (images.count(path) == 0)
+            images[path] = slurp(path);
     }
 
-    auto stream = [&](std::uint32_t) {
-        service::Client client;
-        std::string err;
-        if (!connectTo(opt, client, err)) {
-            Result &r = results[slot.fetch_add(1)];
-            r.file = "(connect)";
-            r.outcome = Outcome::kTransport;
-            r.payload = err;
-            r.transport_errno = client.lastErrno();
-            return;
-        }
-        for (std::uint32_t rep = 0; rep < opt.repeat; ++rep) {
-            for (const std::string &path : opt.traces) {
-                Result &r = results[slot.fetch_add(1)];
-                r = fromResponse(
-                    path, submitWithRetry(opt, client, path));
-            }
-        }
-    };
-
-    // Pipelined stream: one kept-alive connection carrying the whole
-    // job list with up to --pipeline frames in flight; BUSY replies
-    // are re-pipelined after the server's retry hint.
-    auto pipelined = [&](std::uint32_t) {
+    // One kept-alive connection carrying the whole job list with up
+    // to --pipeline frames in flight; BUSY replies are re-submitted
+    // after the server's retry hint.
+    auto submitAll = [&]() {
         service::Client client;
         std::string err;
         if (!connectTo(opt, client, err)) {
@@ -901,10 +843,14 @@ main(int argc, char **argv)
                                     responses[i].retry_after_ms);
                 }
             }
-            if (busy.empty() || !client.connected())
+            if (busy.empty())
                 break;
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(wait));
+            // A daemon at its connection limit refused and closed
+            // this connection: come back on a fresh one.
+            if (!client.connected() && !connectTo(opt, client, err))
+                break;
             std::vector<service::PipelineSubmission> again;
             again.reserve(busy.size());
             for (std::size_t i : busy)
@@ -921,21 +867,14 @@ main(int argc, char **argv)
         }
     };
 
-    auto runStream = [&](std::uint32_t s) {
-        if (opt.pipeline > 0)
-            pipelined(s);
-        else
-            stream(s);
-    };
-
     if (opt.parallel == 1) {
-        runStream(0);
+        submitAll();
     } else {
-        std::vector<std::thread> streams;
-        streams.reserve(opt.parallel);
+        std::vector<std::thread> threads;
+        threads.reserve(opt.parallel);
         for (std::uint32_t s = 0; s < opt.parallel; ++s)
-            streams.emplace_back(runStream, s);
-        for (std::thread &t : streams)
+            threads.emplace_back(submitAll);
+        for (std::thread &t : threads)
             t.join();
     }
     results.resize(slot.load());

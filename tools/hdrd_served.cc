@@ -3,10 +3,12 @@
  * hdrd_served — the sharded race-analysis daemon.
  *
  * Serves TRC2 traces submitted over a unix-domain (and optionally
- * TCP) socket: each SUBMIT is validated streaming-first, analyzed on
- * a bounded worker pool (one engine per worker), and answered with a
- * deterministic hdrd-report-v1 JSON race report. Overload answers
- * BUSY with a retry hint; SIGTERM/SIGINT drains gracefully.
+ * TCP) socket in the HDS2 protocol: each SUBMIT_JOB is validated as
+ * its bytes arrive, analyzed on a bounded worker pool (one reused
+ * engine per worker), and answered with a deterministic
+ * hdrd-report-v1 JSON race report; a SUBMIT_STREAM is analyzed on its
+ * own engine thread while it uploads. Overload answers JOB_BUSY with
+ * a retry hint; SIGTERM/SIGINT drains gracefully.
  *
  *   hdrd_served --socket=/tmp/hdrd.sock
  *   hdrd_served --socket=hdrd.sock --tcp=7411 --workers=16 \
@@ -40,23 +42,24 @@ void
 usage()
 {
     std::puts(
-        "hdrd_served — sharded race-analysis daemon\n"
+        "hdrd_served — sharded race-analysis daemon (protocol HDS2)\n"
         "\n"
         "  --socket=PATH        unix-domain listen socket (required)\n"
         "  --tcp=PORT           also listen on 127.0.0.1:PORT\n"
         "  --workers=N          analysis workers (default: all "
         "cores)\n"
-        "  --queue=K            bounded job queue capacity (default "
-        "16);\n"
-        "                       overflow answers BUSY, never queues "
-        "more\n"
+        "  --queue=K            bounded SUBMIT_JOB queue capacity "
+        "(default\n"
+        "                       16); overflow answers JOB_BUSY, never "
+        "queues\n"
+        "                       more\n"
         "  --max-conns=N        concurrent connection cap (default "
         "64)\n"
         "  --io-shards=N        socket I/O shard threads (default: "
         "derived\n"
         "                       from hardware concurrency)\n"
-        "  --max-pipeline=N     per-connection in-flight pipelined "
-        "job cap\n"
+        "  --max-pipeline=N     per-connection in-flight SUBMIT_JOB "
+        "cap\n"
         "                       (default 32)\n"
         "  --timeout-ms=N       cancel jobs still queued after N ms\n"
         "  --max-trace=BYTES    largest accepted trace (default 1g;\n"
@@ -64,9 +67,9 @@ usage()
         "  --metrics-dump=FILE  periodic hdrd-metrics-v1 snapshot\n"
         "  --metrics-interval-ms=N  snapshot period (default 1000)\n"
         "  --min-job-ms=N       debug: floor per-job service time\n"
-        "  --max-streams=N      concurrent HDS1.2 streaming "
-        "sessions\n"
-        "                       (default 8)\n"
+        "  --max-streams=N      concurrent SUBMIT_STREAM sessions, "
+        "each on\n"
+        "                       its own engine thread (default 8)\n"
         "  --stream-buffer=BYTES  per-session cap on buffered but\n"
         "                       unanalyzed stream bytes (default 4m;\n"
         "                       the CREDIT window)\n"
@@ -74,8 +77,8 @@ usage()
         "                       reports (default 1048576; 0 = none)\n"
         "\n"
         "Per-job analysis config (mode, detector, seed, granule,\n"
-        "cores, sav, faults) arrives with each SUBMIT; see\n"
-        "docs/SERVICE.md for the wire protocol.");
+        "cores, sav, faults) arrives with each SUBMIT_JOB or\n"
+        "SUBMIT_STREAM; see docs/SERVICE.md for the wire protocol.");
 }
 
 bool
