@@ -384,8 +384,8 @@ runPoint(const Options &opt, const std::string &dir,
                              (unsigned long long)kill_at);
             for (const auto v : victims)
                 stopDaemon(fleet[v], SIGKILL);
-            // Stay down past the straggler pass: the failover pass
-            // only starts once every surviving group drains
+            // Stay down past the first retry round: it only
+            // starts once every surviving group drains
             // (~expect_ms), and a victim that comes back before its
             // stranded jobs retry would serve them in place,
             // turning the kill into a no-op. Several expected-wall

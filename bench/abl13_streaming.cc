@@ -338,8 +338,11 @@ main(int argc, char **argv)
             if (!client.connectUnix(config.unix_path, cerr_))
                 fail("connect: " + cerr_);
             const auto t0 = Clock::now();
+            std::ifstream in(trace_path, std::ios::binary);
+            std::ostringstream image;
+            image << in.rdbuf();
             const service::Response resp =
-                client.submitFile(job, trace_path);
+                client.submit(job, image.str());
             const auto t1 = Clock::now();
             if (!resp.isReport())
                 fail("buffered submit failed: " + resp.payload);

@@ -1,5 +1,6 @@
 #include "detect/clock_simd.hh"
 
+#include <atomic>
 #include <cstdlib>
 #include <cstring>
 
@@ -339,15 +340,23 @@ resolve()
     return bestSupported();
 }
 
-/** The active table; swapped only by forceLevel (tests). */
-const KernelTable *active = nullptr;
+/**
+ * The active table; swapped only by forceLevel (tests). Atomic
+ * because the first use may come from several engine threads at
+ * once; they all resolve the same table, so a lost race is benign.
+ * On x86 the acquire load is a plain load.
+ */
+std::atomic<const KernelTable *> active{nullptr};
 
 const KernelTable *
 activeTable()
 {
-    if (active == nullptr)
-        active = &resolve();
-    return active;
+    const KernelTable *table = active.load(std::memory_order_acquire);
+    if (table == nullptr) {
+        table = &resolve();
+        active.store(table, std::memory_order_release);
+    }
+    return table;
 }
 
 } // namespace
@@ -368,13 +377,13 @@ bool
 forceLevel(const char *level)
 {
     if (std::strcmp(level, "auto") == 0) {
-        active = &resolve();
+        active.store(&resolve(), std::memory_order_release);
         return true;
     }
     const KernelTable *t = byName(level);
     if (t == nullptr)
         return false;
-    active = t;
+    active.store(t, std::memory_order_release);
     return true;
 }
 

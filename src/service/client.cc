@@ -4,8 +4,6 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 
 #include <arpa/inet.h>
 #include <fcntl.h>
@@ -118,12 +116,6 @@ Client::connectUnix(const std::string &path, std::string &err)
 }
 
 bool
-Client::connectTcp(std::uint16_t port, std::string &err)
-{
-    return connectTcp("127.0.0.1", port, err);
-}
-
-bool
 Client::connectTcp(const std::string &host, std::uint16_t port,
                    std::string &err)
 {
@@ -202,21 +194,6 @@ Client::submit(const JobOptions &options,
                const std::string &trace_bytes)
 {
     return submitPipelined({{options, &trace_bytes}}, 1).front();
-}
-
-Response
-Client::submitFile(const JobOptions &options,
-                   const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        Response response;
-        response.payload = "cannot open " + path;
-        return response;
-    }
-    std::ostringstream bytes;
-    bytes << in.rdbuf();
-    return submit(options, bytes.str());
 }
 
 Response

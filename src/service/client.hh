@@ -109,9 +109,6 @@ class Client
     /** Connect over a unix-domain socket. */
     bool connectUnix(const std::string &path, std::string &err);
 
-    /** Connect over TCP to 127.0.0.1:@p port. */
-    bool connectTcp(std::uint16_t port, std::string &err);
-
     /**
      * Connect over TCP to @p host:@p port. @p host must be a numeric
      * IPv4 address or "localhost" (fleet daemons are addressed
@@ -144,13 +141,6 @@ class Client
      */
     Response submit(const JobOptions &options,
                     const std::string &trace_bytes);
-
-    /**
-     * Submit a trace file; reads it and calls submit(). A missing
-     * file yields a failed Response without touching the socket.
-     */
-    Response submitFile(const JobOptions &options,
-                        const std::string &path);
 
     /** Request the metrics snapshot (STATS). */
     Response stats();

@@ -177,21 +177,13 @@ splitAggregate(const std::string &doc,
                std::vector<std::string> &reports, std::string &err)
 {
     reports.clear();
-    // Accept both layouts: agg files carry "jobs": [...], cluster
-    // files carry a numeric "jobs" count and "reports": [...].
-    std::size_t open = std::string::npos;
-    for (const char *key : {"\"reports\": [", "\"jobs\": ["}) {
-        const std::size_t at = doc.find(key);
-        if (at != std::string::npos) {
-            open = at + std::string(key).size() - 1;
-            break;
-        }
-    }
+    const std::string key = "\"reports\": [";
+    const std::size_t open = doc.find(key);
     if (open == std::string::npos) {
-        err = "no report array (want \"jobs\" or \"reports\")";
+        err = "no \"reports\" array";
         return false;
     }
-    std::size_t at = open + 1;
+    std::size_t at = open + key.size();
     while (at < doc.size()) {
         const char c = doc[at];
         if (c == ']')

@@ -14,9 +14,10 @@
  * Reports sort by their embedded "trace" name with the full report
  * bytes as tiebreak, so identical repeats (--repeat) stay — they are
  * evidence of how many times each job completed. Documents merge
- * associatively: merging two per-daemon hdrd-report-agg-v1 files
- * yields the same bytes as one fleet client writing the cluster file
- * directly.
+ * associatively: merging the cluster files of two partial sweeps
+ * yields the same bytes as one client writing the cluster file for
+ * the whole sweep directly. A single daemon is a fleet of one, so
+ * this is hdrd_client's only aggregate format.
  *
  * Metrics merge into hdrd-metrics-cluster-v1: counters and gauges
  * sum across daemons; histogram summaries combine count/min/max and
@@ -40,9 +41,9 @@ namespace hdrd::service
 std::string reportTraceName(const std::string &report_json);
 
 /**
- * Split an hdrd-report-agg-v1 or hdrd-report-cluster-v1 document
- * into its per-job report byte spans (each "{...}", no trailing
- * newline). String-aware brace matching; no JSON library.
+ * Split an hdrd-report-cluster-v1 document into its per-job report
+ * byte spans (each "{...}", no trailing newline). String-aware brace
+ * matching; no JSON library.
  * @return false with @p err set on a malformed document.
  */
 bool splitAggregate(const std::string &doc,

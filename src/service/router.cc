@@ -181,7 +181,7 @@ Router::eligibleLocked(std::size_t index, Clock::time_point now)
 }
 
 int
-Router::placeFrom(const std::string &key, int exclude)
+Router::place(const std::string &key)
 {
     const std::uint64_t hash = mix64(fnv1a(key));
     const auto now = Clock::now();
@@ -199,19 +199,10 @@ Router::placeFrom(const std::string &key, int exclude)
          ++step, ++it) {
         if (it == live_ring_.end())
             it = live_ring_.begin();
-        const auto index = static_cast<int>(it->index);
-        if (index == exclude)
-            continue;
         if (eligibleLocked(it->index, now))
-            return index;
+            return static_cast<int>(it->index);
     }
     return -1;
-}
-
-int
-Router::place(const std::string &key)
-{
-    return placeFrom(key, -1);
 }
 
 bool
@@ -300,58 +291,36 @@ Router::markAlive(std::size_t index)
 }
 
 bool
-Router::connectEndpoint(std::size_t index, Client &client,
-                        std::string &err)
+Endpoint::connect(Client &client, std::string &err) const
 {
-    const Endpoint &ep = endpoints_[index];
-    const bool ok = ep.unix_path.empty()
-        ? client.connectTcp(ep.host, ep.port, err)
-        : client.connectUnix(ep.unix_path, err);
-    if (ok && config_.io_timeout_ms > 0)
-        client.setTimeouts(config_.io_timeout_ms);
-    return ok;
+    return unix_path.empty() ? client.connectTcp(host, port, err)
+                             : client.connectUnix(unix_path, err);
+}
+
+Response
+Router::request(std::size_t index, FrameType type)
+{
+    Client client;
+    Response response;
+    if (!endpoints_[index].connect(client, response.payload)) {
+        response.transport_errno = client.lastErrno();
+    } else {
+        if (config_.io_timeout_ms > 0)
+            client.setTimeouts(config_.io_timeout_ms);
+        response = type == FrameType::kStats ? client.stats()
+                                             : client.ping();
+    }
+    if (response.transport_ok)
+        markAlive(index);
+    else
+        markDead(index);
+    return response;
 }
 
 bool
 Router::probe(std::size_t index)
 {
-    Client client;
-    std::string err;
-    if (!connectEndpoint(index, client, err)) {
-        markDead(index);
-        return false;
-    }
-    const Response pong = client.ping();
-    if (!pong.transport_ok) {
-        markDead(index);
-        return false;
-    }
-    markAlive(index);
-    return true;
-}
-
-std::vector<std::pair<bool, std::string>>
-Router::statsAll()
-{
-    std::vector<std::pair<bool, std::string>> out(endpoints_.size());
-    for (std::size_t i = 0; i < endpoints_.size(); ++i) {
-        Client client;
-        std::string err;
-        if (!connectEndpoint(i, client, err)) {
-            markDead(i);
-            out[i] = {false, err};
-            continue;
-        }
-        const Response stats = client.stats();
-        if (!stats.transport_ok) {
-            markDead(i);
-            out[i] = {false, "connection lost"};
-            continue;
-        }
-        markAlive(i);
-        out[i] = {true, stats.payload};
-    }
-    return out;
+    return request(index, FrameType::kPing).transport_ok;
 }
 
 int
@@ -368,18 +337,9 @@ Router::leastLoaded(int exclude)
             if (!eligibleLocked(i, now))
                 continue;
         }
-        Client client;
-        std::string err;
-        if (!connectEndpoint(i, client, err)) {
-            markDead(i);
+        const Response stats = request(i, FrameType::kStats);
+        if (!stats.transport_ok)
             continue;
-        }
-        const Response stats = client.stats();
-        if (!stats.transport_ok) {
-            markDead(i);
-            continue;
-        }
-        markAlive(i);
         const std::int64_t load = loadScore(stats.payload);
         if (load < best_load) {
             best_load = load;
@@ -393,111 +353,7 @@ SubmitResult
 Router::submit(const std::string &key, const JobOptions &options,
                const std::string &trace_bytes)
 {
-    SubmitResult result;
-    if (endpoints_.empty())
-        return result;
-
-    const int primary = placeStatic(key);
-    const auto start = Clock::now();
-    const bool bounded = config_.job_deadline_ms > 0;
-    const auto deadline =
-        start + std::chrono::milliseconds(config_.job_deadline_ms);
-
-    auto backoffFor = [&](std::uint32_t attempt) {
-        const std::uint64_t raw = config_.backoff_base_ms
-            << std::min<std::uint32_t>(attempt, 10);
-        return std::min(raw, config_.backoff_cap_ms);
-    };
-    auto sleepBounded = [&](std::uint64_t ms) {
-        auto until = Clock::now() + std::chrono::milliseconds(ms);
-        if (bounded && until > deadline)
-            until = deadline;
-        std::this_thread::sleep_until(until);
-    };
-
-    int prefer = -1;  // least-loaded override after a BUSY
-    int avoid = -1;   // the endpoint that just answered BUSY
-    for (std::uint32_t attempt = 0; attempt < config_.max_attempts;
-         ++attempt) {
-        if (bounded && Clock::now() >= deadline) {
-            result.status = SubmitStatus::kDeadline;
-            return result;
-        }
-        const int index = prefer >= 0 ? prefer
-                                      : placeFrom(key, avoid);
-        prefer = -1;
-        avoid = -1;
-        if (index < 0) {
-            // Whole fleet dead or backing off: wait out a re-probe
-            // window, then the ring walk will try again.
-            result.status = SubmitStatus::kTransport;
-            if (result.payload.empty())
-                result.payload = "no reachable daemon";
-            ++result.attempts;
-            sleepBounded(jittered(backoffFor(attempt)));
-            continue;
-        }
-
-        ++result.attempts;
-        Client client;
-        std::string err;
-        if (!connectEndpoint(static_cast<std::size_t>(index), client,
-                             err)) {
-            // Refused/unreachable: mark dead and fail over to the
-            // ring successor immediately (refusal is fast).
-            markDead(static_cast<std::size_t>(index));
-            result.status = SubmitStatus::kTransport;
-            result.transport_errno = client.lastErrno();
-            result.endpoint = index;
-            continue;
-        }
-        Response response = client.submit(options, trace_bytes);
-        if (!response.transport_ok) {
-            markDead(static_cast<std::size_t>(index));
-            result.status = SubmitStatus::kTransport;
-            result.transport_errno = response.transport_errno;
-            result.endpoint = index;
-            continue;
-        }
-        markAlive(static_cast<std::size_t>(index));
-
-        if (response.isReport()) {
-            result.status = SubmitStatus::kOk;
-            result.payload = std::move(response.payload);
-            result.endpoint = index;
-            result.rerouted = index != primary;
-            if (result.rerouted) {
-                std::lock_guard<std::mutex> lock(mutex_);
-                ++rerouted_jobs_;
-            }
-            return result;
-        }
-        if (response.isBusy()) {
-            result.status = SubmitStatus::kBusy;
-            result.payload = response.payload;
-            result.endpoint = index;
-            // Least-loaded fallback: pace with the server's hint
-            // (never below the exponential floor), then try the
-            // least busy peer instead of hammering the same queue.
-            const std::uint64_t wait = std::max(
-                response.retry_after_ms, backoffFor(attempt));
-            sleepBounded(jittered(wait));
-            const int alt = leastLoaded(index);
-            if (alt >= 0) {
-                prefer = alt;
-                avoid = index;
-            }
-            continue;
-        }
-        // ERROR is a deterministic rejection (bad options, bad
-        // trace): every daemon would answer the same, so don't
-        // burn attempts re-asking.
-        result.status = SubmitStatus::kRejected;
-        result.payload = std::move(response.payload);
-        result.endpoint = index;
-        return result;
-    }
-    return result;
+    return submitBatch({{key, options, &trace_bytes}}, 1).front();
 }
 
 std::vector<SubmitResult>
@@ -505,96 +361,153 @@ Router::submitBatch(const std::vector<BatchJob> &jobs,
                     std::size_t window)
 {
     std::vector<SubmitResult> results(jobs.size());
-    if (jobs.empty() || endpoints_.empty())
+    if (endpoints_.empty())
         return results;
     window = std::max<std::size_t>(1, window);
 
-    // Group by current placement; unplaceable jobs go straight to
-    // the failover pass.
-    std::vector<std::vector<std::size_t>> groups(endpoints_.size());
-    std::vector<std::size_t> stragglers;
-    std::mutex straggler_mutex;
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        const int index = place(jobs[i].key);
-        if (index < 0)
-            stragglers.push_back(i);
-        else
-            groups[static_cast<std::size_t>(index)].push_back(i);
-    }
-
-    auto runGroup = [&](std::size_t ep) {
-        const std::vector<std::size_t> &group = groups[ep];
-        auto spill = [&]() {
-            std::lock_guard<std::mutex> lock(straggler_mutex);
-            for (std::size_t i : group) {
-                if (results[i].status != SubmitStatus::kOk)
-                    stragglers.push_back(i);
-            }
-        };
+    // One attempt at a group: pipeline it over one connection to its
+    // daemon, classify each answer, then update that daemon's health.
+    auto runGroup = [&](std::size_t ep,
+                        const std::vector<std::size_t> &group) {
         Client client;
+        std::vector<Response> responses(group.size());
         std::string err;
-        if (!connectEndpoint(ep, client, err)) {
-            markDead(ep);
-            spill();
-            return;
-        }
-        std::vector<PipelineSubmission> subs;
-        subs.reserve(group.size());
-        for (std::size_t i : group) {
-            PipelineSubmission sub;
-            sub.options = jobs[i].options;
-            sub.trace_bytes = jobs[i].trace;
-            subs.push_back(sub);
-        }
-        const std::vector<Response> responses =
-            client.submitPipelined(subs, window);
-        bool transport_lost = false;
-        std::uint64_t rerouted_here = 0;
-        for (std::size_t k = 0; k < group.size(); ++k) {
-            const Response &response = responses[k];
-            const std::size_t i = group[k];
-            if (response.isReport()) {
-                results[i].status = SubmitStatus::kOk;
-                results[i].payload = response.payload;
-                results[i].endpoint = static_cast<int>(ep);
-                results[i].attempts = 1;
-                results[i].rerouted = placeStatic(jobs[i].key)
-                    != static_cast<int>(ep);
-                if (results[i].rerouted)
-                    ++rerouted_here;
-            } else if (!response.transport_ok) {
-                transport_lost = true;
+        if (endpoints_[ep].connect(client, err)) {
+            std::vector<PipelineSubmission> subs;
+            subs.reserve(group.size());
+            for (std::size_t i : group)
+                subs.push_back({jobs[i].options, jobs[i].trace});
+            responses = client.submitPipelined(subs, window);
+        } else {
+            for (Response &response : responses) {
+                response.payload = err;
+                response.transport_errno = client.lastErrno();
             }
         }
-        if (rerouted_here > 0) {
+        bool transport_lost = false;
+        std::uint64_t rerouted = 0;
+        for (std::size_t k = 0; k < group.size(); ++k) {
+            Response &response = responses[k];
+            SubmitResult &result = results[group[k]];
+            result.endpoint = static_cast<int>(ep);
+            result.payload = std::move(response.payload);
+            if (!response.transport_ok) {
+                transport_lost = true;
+                result.status = SubmitStatus::kTransport;
+                result.transport_errno = response.transport_errno;
+            } else if (response.isBusy()) {
+                result.status = SubmitStatus::kBusy;
+                result.retry_after_ms = response.retry_after_ms;
+            } else if (!response.isReport()) {
+                // ERROR is a deterministic rejection (bad options,
+                // bad trace): every daemon would answer the same, so
+                // don't burn attempts re-asking.
+                result.status = SubmitStatus::kRejected;
+            } else {
+                result.status = SubmitStatus::kOk;
+                result.rerouted = placeStatic(jobs[group[k]].key)
+                    != static_cast<int>(ep);
+                rerouted += result.rerouted ? 1 : 0;
+            }
+        }
+        if (rerouted > 0) {
             std::lock_guard<std::mutex> lock(mutex_);
-            rerouted_jobs_ += rerouted_here;
+            rerouted_jobs_ += rerouted;
         }
         if (transport_lost)
             markDead(ep);
         else
             markAlive(ep);
-        spill();
     };
 
-    // One pipelining thread per daemon with work; the fleet is
-    // small, so thread-per-endpoint is the right grain.
-    std::vector<std::thread> threads;
-    for (std::size_t ep = 0; ep < groups.size(); ++ep) {
-        if (!groups[ep].empty())
-            threads.emplace_back(runGroup, ep);
-    }
-    for (std::thread &t : threads)
-        t.join();
+    const bool bounded = config_.job_deadline_ms > 0;
+    Clock::time_point deadline{};
+    std::uint64_t wait_ms = 0;
+    for (std::uint32_t attempt = 0; attempt < config_.max_attempts;
+         ++attempt) {
+        std::vector<std::size_t> pending;
+        for (std::size_t i = 0; i < jobs.size(); ++i) {
+            if (results[i].status != SubmitStatus::kOk
+                && results[i].status != SubmitStatus::kRejected)
+                pending.push_back(i);
+        }
+        if (pending.empty())
+            break;
+        // The deadline bounds the retries: a first attempt may sit
+        // behind a long pipelined batch or run a long job.
+        if (attempt == 1)
+            deadline = Clock::now()
+                + std::chrono::milliseconds(config_.job_deadline_ms);
+        if (wait_ms > 0) {
+            auto until = Clock::now()
+                + std::chrono::milliseconds(jittered(wait_ms));
+            if (bounded && until > deadline)
+                until = deadline;
+            std::this_thread::sleep_until(until);
+            wait_ms = 0;
+        }
+        if (attempt > 0 && bounded && Clock::now() >= deadline) {
+            for (std::size_t i : pending)
+                results[i].status = SubmitStatus::kDeadline;
+            break;
+        }
 
-    // Failover pass: everything without a report goes through the
-    // full per-job retry machinery, in input order so the schedule
-    // is reproducible for a fixed seed.
-    std::sort(stragglers.begin(), stragglers.end());
-    for (std::size_t i : stragglers) {
-        results[i] = submit(jobs[i].key, jobs[i].options,
-                            jobs[i].trace ? *jobs[i].trace
-                                          : std::string());
+        // Place the round. A job that was just BUSY tries the
+        // least-loaded other daemon; every other job walks the ring
+        // from its key, so a dead daemon's jobs fail over to its
+        // ring successor at once.
+        const std::uint64_t floor_ms = std::min(
+            config_.backoff_base_ms << std::min<std::uint32_t>(
+                attempt, 10),
+            config_.backoff_cap_ms);
+        std::vector<std::vector<std::size_t>> groups(
+            endpoints_.size());
+        // Per BUSY daemon, its least-loaded peer (-2: not asked yet).
+        std::vector<int> least_loaded(endpoints_.size(), -2);
+        for (std::size_t i : pending) {
+            SubmitResult &result = results[i];
+            ++result.attempts;
+            int index = -1;
+            if (result.status == SubmitStatus::kBusy) {
+                int &alt = least_loaded[static_cast<std::size_t>(
+                    result.endpoint)];
+                if (alt == -2)
+                    alt = leastLoaded(result.endpoint);
+                index = alt;
+            }
+            if (index < 0)
+                index = place(jobs[i].key);
+            if (index < 0) {
+                // Whole fleet dead or backing off: wait out a
+                // re-probe window before the next round.
+                result.status = SubmitStatus::kTransport;
+                if (result.payload.empty())
+                    result.payload = "no reachable daemon";
+                wait_ms = std::max(wait_ms, floor_ms);
+                continue;
+            }
+            groups[static_cast<std::size_t>(index)].push_back(i);
+        }
+
+        // One pipelining thread per daemon with work; the fleet is
+        // small, so thread-per-endpoint is the right grain.
+        std::vector<std::thread> threads;
+        for (std::size_t ep = 0; ep < groups.size(); ++ep) {
+            if (!groups[ep].empty())
+                threads.emplace_back(runGroup, ep,
+                                     std::cref(groups[ep]));
+        }
+        for (std::thread &t : threads)
+            t.join();
+
+        // Pace the next round with the largest BUSY hint, never
+        // below the exponential floor.
+        for (std::size_t i : pending) {
+            if (results[i].status == SubmitStatus::kBusy)
+                wait_ms = std::max(
+                    wait_ms,
+                    std::max(results[i].retry_after_ms, floor_ms));
+        }
     }
     return results;
 }

@@ -70,6 +70,9 @@ struct Endpoint
 
     /** Canonical display name ("unix:PATH" or "HOST:PORT"). */
     std::string name() const;
+
+    /** Connect @p client to this daemon over its transport. */
+    bool connect(Client &client, std::string &err) const;
 };
 
 /** Router tuning. Defaults suit tests; the client exposes flags. */
@@ -81,12 +84,13 @@ struct RouterConfig
      */
     std::uint64_t retry_seed = 1;
 
-    /** Attempts per job before giving up (connects + submissions). */
+    /** Attempts per job before giving up (1 = no retry). */
     std::uint32_t max_attempts = 8;
 
     /**
-     * Wall-clock budget per job across all attempts and backoff
-     * sleeps (0 = unbounded).
+     * Wall-clock budget for a job's retries and their backoff
+     * sleeps, counted from the end of its first attempt, which may
+     * queue behind a long pipeline (0 = unbounded).
      */
     std::uint64_t job_deadline_ms = 30000;
 
@@ -95,8 +99,11 @@ struct RouterConfig
     std::uint64_t backoff_cap_ms = 2000;
 
     /**
-     * SO_RCVTIMEO/SO_SNDTIMEO per connection so a hung daemon
-     * becomes a transport failure, not a stalled client (0 = none).
+     * SO_RCVTIMEO/SO_SNDTIMEO on control connections (PING probes,
+     * STATS reads) so a hung daemon becomes a transport failure
+     * there, not a stalled client (0 = none). Connections that
+     * carry jobs get no timeout: a job's answer is awaited for as
+     * long as the job runs.
      */
     std::uint64_t io_timeout_ms = 10000;
 
@@ -153,15 +160,19 @@ struct SubmitResult
     /** errno of the last transport failure (0 = none). */
     int transport_errno = 0;
 
+    /** The server's retry hint when the last answer was BUSY. */
+    std::uint64_t retry_after_ms = 0;
+
     /** True when the report came from a non-primary endpoint. */
     bool rerouted = false;
 };
 
 /**
  * Routes jobs across a daemon fleet with failover. Thread-safe: any
- * number of submitter threads may call submit()/place() on one
- * Router concurrently (shared state is the health table and the
- * jitter RNG, both under one lock; connections are per-call).
+ * number of submitter threads may call submit(), submitBatch() and
+ * place() on one Router concurrently (shared state is the health
+ * table and the jitter RNG, both under one lock; connections are
+ * per-call).
  */
 class Router
 {
@@ -188,13 +199,7 @@ class Router
      */
     int placeStatic(const std::string &key) const;
 
-    /**
-     * Submit one job with failover: connect to the placed daemon,
-     * fall over to ring successors on transport failure, to the
-     * least-loaded peer on BUSY, with seeded jittered exponential
-     * backoff between attempts, until a report or error arrives, the
-     * attempt budget is spent, or the deadline passes.
-     */
+    /** Submit one job with failover: a submitBatch() of one. */
     SubmitResult submit(const std::string &key,
                         const JobOptions &options,
                         const std::string &trace_bytes);
@@ -208,25 +213,32 @@ class Router
     };
 
     /**
-     * Submit a batch: jobs are grouped by placement, each group is
-     * pipelined over one connection to its daemon (window bounded
-     * by @p window), groups run concurrently, and every job
-     * whose group attempt did not yield a report is re-driven
-     * through submit() failover. One final result per job, in input
-     * order.
+     * Submit a batch with failover, in rounds. Each round is one
+     * attempt for every job still without a report or rejection:
+     * jobs are grouped by placement, each group is pipelined over
+     * one connection to its daemon (window bounded by @p window),
+     * and groups run concurrently. A transport failure marks the
+     * daemon dead and its jobs fall over to ring successors in the
+     * next round at once; a BUSY job waits out the largest hint
+     * (never below the seeded jittered exponential backoff) and
+     * tries the least-loaded peer. Rounds stop when every job is
+     * settled, the attempt budget is spent, or the deadline passes.
+     * One final result per job, in input order.
      */
     std::vector<SubmitResult> submitBatch(
         const std::vector<BatchJob> &jobs, std::size_t window);
 
     /**
-     * Fetch every endpoint's STATS snapshot.
-     * @return one (reachable, payload) pair per endpoint, in
-     *         endpoint order.
+     * One control exchange with daemon @p index over a fresh
+     * connection bounded by io_timeout_ms; updates the health
+     * table. @p type is FrameType::kPing or FrameType::kStats.
+     * @return the answer; a failed connect has transport_ok false,
+     *         the connect error as payload, and its errno.
      */
-    std::vector<std::pair<bool, std::string>> statsAll();
+    Response request(std::size_t index, FrameType type);
 
     /**
-     * Active health probe: connect + PING. Updates the health table.
+     * Active health probe: a PING request().
      * @return true when the daemon answered.
      */
     bool probe(std::size_t index);
@@ -278,9 +290,6 @@ class Router
         std::uint32_t index;
     };
 
-    bool connectEndpoint(std::size_t index, Client &client,
-                         std::string &err);
-
     /** Next jitter draw in [ms/2, ms]. */
     std::uint64_t jittered(std::uint64_t ms);
 
@@ -292,12 +301,6 @@ class Router
 
     /** Eligible = alive, or dead with the re-probe backoff expired. */
     bool eligibleLocked(std::size_t index, Clock::time_point now);
-
-    /**
-     * Ring walk from @p key's hash to the first eligible endpoint,
-     * optionally skipping @p exclude. -1 when none.
-     */
-    int placeFrom(const std::string &key, int exclude);
 
     /** STATS-probe eligible endpoints; lowest load, or -1. */
     int leastLoaded(int exclude);

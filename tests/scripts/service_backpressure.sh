@@ -28,7 +28,7 @@ done
 
 st=0
 out=$("$CLIENT" --socket=svc_bp.sock --omit-timing --parallel=8 \
-                --summary svc_bp/ping.trc) || st=$?
+                --max-attempts=1 --summary svc_bp/ping.trc) || st=$?
 echo "$out"
 # Exit 2 = some BUSY, no errors.
 [ "$st" -eq 2 ]
@@ -37,8 +37,9 @@ busy=$(echo "$out" | sed -n 's/.* busy=\([0-9]*\) .*/\1/p')
 [ "$ok" -ge 1 ]
 [ "$busy" -ge 1 ]
 # A BUSY reply carries a retry hint; retrying must eventually succeed.
-"$CLIENT" --socket=svc_bp.sock --omit-timing --parallel=4 --retry=20 \
-          --summary svc_bp/ping.trc | grep -q 'busy=0 error=0'
+"$CLIENT" --socket=svc_bp.sock --omit-timing --parallel=4 \
+          --max-attempts=21 --summary svc_bp/ping.trc \
+    | grep -q 'busy=0 error=0'
 
 kill -TERM "$pid"
 wait "$pid"

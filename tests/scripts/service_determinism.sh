@@ -1,11 +1,11 @@
 #!/bin/sh
 # Determinism across shard counts, submission orders, and submission
 # styles: the same three traces submitted to a 1-worker daemon, a
-# 16-worker daemon, in different orders, and both one-shot and
-# pipelined over a single kept-alive connection (HDS1.1), and
-# streamed chunk-wise with --stream (HDS1.2, file and stdin sources)
-# must produce byte-identical reports, each matching the one-shot
-# CLI golden.
+# 16-worker daemon, in different orders, one-shot and pipelined over
+# a single kept-alive connection, named by --socket and as a
+# one-daemon --daemons fleet, and streamed chunk-wise with --stream
+# (file and stdin sources) must produce byte-identical reports, each
+# matching the one-shot CLI golden.
 #
 # usage: service_determinism.sh HDRD_SIM HDRD_SERVED HDRD_CLIENT
 set -e
@@ -44,6 +44,12 @@ serve 1
 "$CLIENT" --socket=svc_det.sock --omit-timing --out=svc_det/agg_b.json \
     svc_det/locked_counter.trc svc_det/racy_counter.trc \
     svc_det/ping_pong.trc
+# Same server named as a one-daemon fleet: a fleet of one is the
+# same client path and writes the same bytes.
+"$CLIENT" --daemons=svc_det.sock --omit-timing \
+    --out=svc_det/agg_d.json \
+    svc_det/ping_pong.trc svc_det/racy_counter.trc \
+    svc_det/locked_counter.trc
 kill -TERM "$pid"
 wait "$pid"
 
@@ -89,11 +95,17 @@ for workers in 1 16; do
             > svc_det/$w.stdin$workers.json
         cmp svc_det/$w.golden.json svc_det/$w.stdin$workers.json
     done
+    "$CLIENT" --daemons=svc_det.sock --omit-timing \
+        --stream svc_det/ping_pong.trc \
+        > svc_det/ping_pong.fleet$workers.json
+    cmp svc_det/ping_pong.golden.json \
+        svc_det/ping_pong.fleet$workers.json
     kill -TERM "$pid"
     wait "$pid"
 done
 
 cmp svc_det/agg_a.json svc_det/agg_b.json
+cmp svc_det/agg_a.json svc_det/agg_d.json
 cmp svc_det/agg_a.json svc_det/agg_c.json
 cmp svc_det/agg_a.json svc_det/agg_p1.json
 cmp svc_det/agg_a.json svc_det/agg_p16.json

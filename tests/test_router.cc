@@ -2,17 +2,19 @@
  * @file
  * Unit tests for the fleet layer: endpoint parsing, consistent-hash
  * placement, STATS load scoring, the BUSY retry hint, cluster
- * report/metrics merging, and live failover against in-process
- * daemons.
+ * report/metrics merging, and live failover and long jobs against
+ * in-process daemons.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <fstream>
+#include <memory>
 #include <random>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "runtime/program.hh"
@@ -354,19 +356,17 @@ TEST(Cluster, TraceNameAndSplit)
     EXPECT_EQ(reportTraceName(report), "alpha");
     EXPECT_EQ(reportTraceName("{}"), "");
 
-    const std::string agg = "{\n\"schema\": "
-        "\"hdrd-report-agg-v1\",\n\"jobs\": [\n"
-        + fakeReport("a", 1, 1) + ",\n" + fakeReport("b", 2, 2)
-        + "]\n}\n";
+    const std::string cluster = writeClusterReport(
+        {fakeReport("b", 2, 2), fakeReport("a", 1, 1)});
     std::vector<std::string> reports;
     std::string err;
-    ASSERT_TRUE(splitAggregate(agg, reports, err)) << err;
+    ASSERT_TRUE(splitAggregate(cluster, reports, err)) << err;
     ASSERT_EQ(reports.size(), 2u);
     EXPECT_EQ(reportTraceName(reports[0]), "a");
     EXPECT_EQ(reportTraceName(reports[1]), "b");
 
     EXPECT_FALSE(splitAggregate("{\"nope\": 1}", reports, err));
-    EXPECT_FALSE(splitAggregate("{\"jobs\": [ {", reports, err));
+    EXPECT_FALSE(splitAggregate("{\"reports\": [ {", reports, err));
 }
 
 TEST(Cluster, ClusterBytesAreOrderIndependent)
@@ -398,7 +398,7 @@ TEST(Cluster, ClusterBytesAreOrderIndependent)
 
 TEST(Cluster, MergeIsAssociative)
 {
-    // Two per-daemon agg docs merged together == one fleet cluster
+    // Two per-daemon cluster docs merged together == one cluster
     // doc written directly from all four reports.
     const std::vector<std::string> daemon_a = {
         fakeReport("a", 1, 10), fakeReport("c", 3, 30)};
@@ -522,6 +522,93 @@ TEST(RouterLive, BatchFailsOverWhenADaemonDies)
     }
 
     server_b->stop();
+}
+
+TEST(RouterLive, ConcurrentBatchesShareOneRouter)
+{
+    // hdrd_client --parallel=N runs N submitBatch() calls on one
+    // Router at once; they share its health table, RNG and counters.
+    const std::string dir(::testing::TempDir());
+    std::vector<std::unique_ptr<Server>> servers;
+    std::vector<Endpoint> endpoints;
+    for (const char *name :
+         {"hdrd_rt_par_a.sock", "hdrd_rt_par_b.sock"}) {
+        ServerConfig config;
+        config.unix_path = dir + name;
+        config.workers = 2;
+        config.queue_capacity = 64;
+        servers.push_back(std::make_unique<Server>(std::move(config)));
+        std::string err;
+        ASSERT_TRUE(servers.back()->start(err)) << err;
+        endpoints.push_back(ep(dir + name));
+    }
+    Router router(endpoints, RouterConfig{});
+
+    const std::string image = traceBytes(tinyTrace(), "par");
+    JobOptions options;
+    options.flags = kJobOmitHostTiming;
+    std::vector<Router::BatchJob> jobs;
+    for (int i = 0; i < 15; ++i)
+        jobs.push_back({"k" + std::to_string(i % 3), options, &image});
+
+    std::vector<std::vector<SubmitResult>> results(6);
+    std::vector<std::thread> submitters;
+    for (std::size_t s = 0; s < results.size(); ++s) {
+        submitters.emplace_back([&, s]() {
+            results[s] = router.submitBatch(jobs, 4);
+        });
+    }
+    for (std::thread &t : submitters)
+        t.join();
+
+    const std::string golden = results[0].at(0).payload;
+    for (const std::vector<SubmitResult> &batch : results) {
+        ASSERT_EQ(batch.size(), jobs.size());
+        for (const SubmitResult &r : batch) {
+            EXPECT_EQ(r.status, SubmitStatus::kOk) << r.payload;
+            EXPECT_EQ(r.payload, golden);
+        }
+    }
+    EXPECT_TRUE(router.alive(0));
+    EXPECT_TRUE(router.alive(1));
+    for (const auto &server : servers)
+        server->stop();
+}
+
+TEST(RouterLive, JobLongerThanTheIoTimeoutIsAwaited)
+{
+    // Control connections time out after io_timeout_ms; a job's
+    // connection must wait for as long as the job runs, and a slow
+    // job must not mark a live daemon dead.
+    const std::string sock =
+        std::string(::testing::TempDir()) + "hdrd_rt_long.sock";
+    ServerConfig server_config;
+    server_config.unix_path = sock;
+    server_config.workers = 1;
+    server_config.min_job_ms = 400;
+    Server server(std::move(server_config));
+    std::string err;
+    ASSERT_TRUE(server.start(err)) << err;
+
+    const std::string image = traceBytes(tinyTrace(), "long");
+    JobOptions options;
+    options.flags = kJobOmitHostTiming;
+    RouterConfig config;
+    config.io_timeout_ms = 100;
+    config.max_attempts = 1;
+    Router router({ep(sock)}, config);
+
+    const SubmitResult one = router.submit("k", options, image);
+    EXPECT_EQ(one.status, SubmitStatus::kOk) << one.payload;
+    EXPECT_TRUE(router.alive(0));
+
+    const std::vector<SubmitResult> batch =
+        router.submitBatch({{"k", options, &image}}, 1);
+    ASSERT_EQ(batch.size(), 1u);
+    EXPECT_EQ(batch[0].status, SubmitStatus::kOk) << batch[0].payload;
+    EXPECT_TRUE(router.alive(0));
+
+    server.stop();
 }
 
 TEST(RouterLive, ExhaustedFleetReportsTransport)

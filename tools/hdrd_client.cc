@@ -1,32 +1,27 @@
 /**
  * @file
- * hdrd_client — submits recorded traces to hdrd_served, to one
- * daemon or to a fleet.
+ * hdrd_client — submits recorded traces to hdrd_served daemons.
  *
  *   hdrd_client --socket=hdrd.sock trace1.trc trace2.trc
  *   hdrd_client --socket=hdrd.sock --stats
- *   hdrd_client --socket=hdrd.sock --omit-timing --out=agg.json *.trc
+ *   hdrd_client --socket=hdrd.sock --omit-timing --out=all.json *.trc
  *   hdrd_client --socket=hdrd.sock --parallel=8 --summary big.trc
  *   hdrd_client --socket=hdrd.sock --pipeline=16 --repeat=50 t.trc
  *   hdrd_client --daemons=a.sock,b.sock,9401 --out=cluster.json *.trc
- *   hdrd_client --merge --out=cluster.json agg_a.json agg_b.json
+ *   hdrd_client --merge --out=cluster.json part_a.json part_b.json
  *
- * Each of the --parallel connections is kept alive and carries its
- * job list as SUBMIT_JOB frames, up to --pipeline (default 1) in
- * flight, correlating the out-of-order responses by job id.
+ * --socket, --tcp and --daemons all add to one endpoint list: a
+ * single daemon is a fleet of one. Every job goes through
+ * service::Router (service/router.hh): placed by consistent hash,
+ * pipelined up to --pipeline (default 1) SUBMIT_JOB frames per
+ * daemon connection, and retried on BUSY or transport failure up to
+ * --max-attempts within --deadline-ms. Each of the --parallel
+ * submitters carries the whole list over its own connections.
  *
- * --daemons=LIST turns on fleet mode: jobs are placed over the
- * daemons by consistent hash (service/router.hh), pipelined per
- * daemon, and rerouted on daemon death or BUSY; --out then writes
- * the placement-independent hdrd-report-cluster-v1 aggregate
- * (service/cluster.hh), byte-identical to a single-daemon run for
- * any fleet size, kill schedule, or placement (pair with
- * --omit-timing).
- *
- * In single-daemon mode the aggregate --out file is
- * hdrd-report-agg-v1: per-trace reports sorted by file basename,
- * byte-identical for any submission order, worker count, and
- * pipeline depth.
+ * --out writes the hdrd-report-cluster-v1 aggregate
+ * (service/cluster.hh): byte-identical for any fleet size, kill
+ * schedule, placement, submission order, worker count, and pipeline
+ * depth (pair with --omit-timing).
  *
  * Exit codes: 0 all ok; 1 any protocol error (daemon rejected a
  * job); 2 any BUSY left after retries; 3 any transport failure (no
@@ -34,9 +29,6 @@
  * beats busy when several occur.
  */
 
-#include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -60,9 +52,8 @@ namespace
 
 struct Options
 {
-    std::string socket_path;
-    std::uint16_t tcp_port = 0;
-    std::string daemons;  ///< comma list => fleet mode
+    /** Every --socket, --tcp and --daemons entry, in flag order. */
+    std::vector<service::Endpoint> endpoints;
     std::vector<std::string> traces;
     std::string out;      ///< aggregate JSON file
     std::string out_dir;  ///< per-trace report files
@@ -70,7 +61,7 @@ struct Options
     bool ping = false;
     bool omit_timing = false;
     bool summary = false;
-    bool merge = false;          ///< offline agg-file merge
+    bool merge = false;          ///< offline cluster-file merge
     bool merge_metrics = false;  ///< offline metrics merge
     bool stream = false;         ///< chunked SUBMIT_STREAM upload
     bool partials = false;       ///< print streamed partial reports
@@ -78,7 +69,6 @@ struct Options
     std::string follow;          ///< attach to this live session
     std::uint32_t parallel = 1;
     std::uint32_t repeat = 1;
-    std::uint32_t retries = 0;
     std::uint32_t pipeline = 1;  ///< SUBMIT_JOB window
 
     std::uint64_t retry_seed = 1;
@@ -93,56 +83,60 @@ void
 usage()
 {
     std::puts(
-        "hdrd_client — submit traces to hdrd_served\n"
+        "hdrd_client — submit traces to hdrd_served daemons\n"
         "\n"
+        "--socket, --tcp and --daemons all add to one daemon list;\n"
+        "one daemon is a fleet of one:\n"
         "  --socket=PATH     daemon unix socket\n"
-        "  --tcp=PORT        connect to 127.0.0.1:PORT instead\n"
-        "  --daemons=LIST    fleet mode: comma list of daemons\n"
+        "  --tcp=PORT        daemon at 127.0.0.1:PORT\n"
+        "  --daemons=LIST    comma list of daemons\n"
         "                    (unix:PATH | PATH | HOST:PORT | PORT);\n"
         "                    jobs are consistent-hash placed and\n"
         "                    rerouted around dead or BUSY daemons\n"
-        "  --retry-seed=N    seed for failover backoff jitter\n"
-        "                    (default 1: reproducible schedules)\n"
-        "  --max-attempts=N  failover attempts per job (default 8)\n"
-        "  --deadline-ms=N   per-job failover deadline (0 = none)\n"
+        "\n"
+        "Retries (BUSY answers and transport failures):\n"
+        "  --max-attempts=N  attempts per job (default 8, 1 = no "
+        "retry)\n"
+        "  --deadline-ms=N   per-job retry deadline (default 30000,\n"
+        "                    0 = none)\n"
+        "  --retry-seed=N    seed for backoff jitter (default 1:\n"
+        "                    reproducible schedules)\n"
         "  --evict-after=N   drop a daemon from the placement ring\n"
         "                    after N consecutive failures (its keys\n"
         "                    rebalance; 0 = keep re-probing forever)\n"
+        "\n"
         "  --stats           request the metrics snapshot and print\n"
-        "                    it (fleet: merged cluster snapshot)\n"
-        "  --ping            liveness probe (fleet: probe every "
-        "daemon)\n"
-        "  --merge           merge aggregate JSON files (the\n"
-        "                    positional args) into one cluster "
-        "report\n"
+        "                    it (several daemons: merged snapshot)\n"
+        "  --ping            liveness probe (several daemons: probe\n"
+        "                    every one)\n"
+        "  --merge           merge hdrd-report-cluster-v1 files (the\n"
+        "                    positional args) into one\n"
         "  --merge-metrics   merge metrics JSON files instead\n"
-        "  --out=FILE        aggregate JSON (single daemon:\n"
-        "                    hdrd-report-agg-v1 sorted by basename;\n"
-        "                    fleet/merge: hdrd-report-cluster-v1)\n"
+        "  --out=FILE        hdrd-report-cluster-v1 aggregate JSON\n"
         "  --out-dir=DIR     also write DIR/<basename>.report.json "
         "per trace\n"
         "  --omit-timing     ask the server to omit host timing "
         "(determinism)\n"
-        "  --parallel=N      N concurrent connections (stress/"
-        "backpressure)\n"
+        "  --parallel=N      N concurrent submitters, each with its "
+        "own\n"
+        "                    connections, each carrying the whole "
+        "list\n"
         "  --pipeline=N      keep up to N SUBMIT_JOB frames in flight "
         "per\n"
         "                    connection (default 1)\n"
         "  --stream          upload the (single) trace as SUBMIT_DATA\n"
         "                    chunks under server credit; '-' streams\n"
-        "                    the trace from stdin\n"
+        "                    the trace from stdin (one daemon only)\n"
         "  --session=NAME    streaming session name others can "
         "--follow\n"
         "                    (default: the trace basename)\n"
         "  --follow=NAME     attach to a live streaming session and\n"
-        "                    tail its partial reports to stdout\n"
+        "                    tail its partial reports to stdout (one\n"
+        "                    daemon only)\n"
         "  --partials        with --stream: also print each partial\n"
         "                    report as it arrives\n"
         "  --repeat=M        submit the trace list M times per "
-        "connection\n"
-        "  --retry=N         retry BUSY replies up to N times, "
-        "honouring\n"
-        "                    the server's retry_after_ms hint\n"
+        "submitter\n"
         "  --summary         print 'ok=A busy=B error=C ...' totals\n"
         "\n"
         "Analysis config forwarded with each job:\n"
@@ -157,6 +151,16 @@ usage()
         "Exit: 0 all ok, 1 any protocol error, 2 any BUSY left "
         "after\n"
         "retries, 3 any transport failure (daemon unreachable).");
+}
+
+void
+addEndpoint(Options &opt, const char *flag, const std::string &spec)
+{
+    service::Endpoint ep;
+    std::string err;
+    if (!service::Endpoint::parse(spec, ep, err))
+        fatal(flag, ": ", err);
+    opt.endpoints.push_back(std::move(ep));
 }
 
 bool
@@ -205,12 +209,20 @@ parse(int argc, char **argv)
         } else if (std::strcmp(arg, "--no-trace-faults") == 0) {
             opt.job.flags |= service::kJobIgnoreTraceFaults;
         } else if (eat(arg, "--socket=", value)) {
-            opt.socket_path = value;
+            addEndpoint(opt, "--socket", "unix:" + value);
         } else if (eat(arg, "--tcp=", value)) {
-            opt.tcp_port = static_cast<std::uint16_t>(
-                cli::parseU32("tcp", value, 1, 65535));
+            addEndpoint(opt, "--tcp",
+                        std::to_string(
+                            cli::parseU32("tcp", value, 1, 65535)));
         } else if (eat(arg, "--daemons=", value)) {
-            opt.daemons = value;
+            const std::size_t before = opt.endpoints.size();
+            std::istringstream list(value);
+            for (std::string spec; std::getline(list, spec, ',');) {
+                if (!spec.empty())
+                    addEndpoint(opt, "--daemons", spec);
+            }
+            if (opt.endpoints.size() == before)
+                fatal("--daemons: no daemons in list");
         } else if (eat(arg, "--retry-seed=", value)) {
             opt.retry_seed = cli::parseU64("retry-seed", value);
         } else if (eat(arg, "--max-attempts=", value)) {
@@ -228,8 +240,6 @@ parse(int argc, char **argv)
             opt.pipeline = cli::parseU32("pipeline", value, 1, 4096);
         } else if (eat(arg, "--repeat=", value)) {
             opt.repeat = cli::parseU32("repeat", value, 1, 1000000);
-        } else if (eat(arg, "--retry=", value)) {
-            opt.retries = cli::parseU32("retry", value, 0, 1000);
         } else if (eat(arg, "--mode=", value)) {
             if (value == "native")
                 opt.job.mode = 0;
@@ -270,8 +280,7 @@ parse(int argc, char **argv)
             opt.traces.push_back(arg);
         }
     }
-    if (!opt.merge && !opt.merge_metrics && opt.socket_path.empty()
-        && opt.tcp_port == 0 && opt.daemons.empty()) {
+    if (!opt.merge && !opt.merge_metrics && opt.endpoints.empty()) {
         usage();
         fatal("need --socket=PATH, --tcp=PORT, or --daemons=LIST");
     }
@@ -288,84 +297,26 @@ basenameOf(const std::string &path)
                                       : path.substr(slash + 1);
 }
 
-/** How one job ended, unified across single and fleet modes. */
-enum class Outcome
-{
-    kOk,
-    kBusy,
-    kProtocol,   ///< daemon (or local file) rejected the job
-    kTransport,  ///< daemon unreachable / connection lost
-};
-
+/** One job's trace file and final disposition. */
 struct Result
 {
     std::string file;
-    Outcome outcome = Outcome::kTransport;
-    std::string payload;
-    int transport_errno = 0;
+    service::SubmitResult outcome;
 };
 
-Outcome
-classify(const service::Response &response)
+/** A streamed or followed job's answer as a routed job's result. */
+service::SubmitResult
+fromResponse(service::Response response)
 {
-    if (response.isReport())
-        return Outcome::kOk;
-    if (response.isBusy())
-        return Outcome::kBusy;
-    if (!response.transport_ok)
-        // A local failure before any socket write (e.g. a missing
-        // trace file) carries no errno and is the caller's error,
-        // not the transport's.
-        return response.transport_errno != 0 ? Outcome::kTransport
-                                             : Outcome::kProtocol;
-    return Outcome::kProtocol;
-}
-
-Result
-fromResponse(const std::string &file, service::Response response)
-{
-    Result r;
-    r.file = file;
-    r.outcome = classify(response);
-    r.payload = std::move(response.payload);
+    service::SubmitResult r;
+    r.endpoint = 0;
     r.transport_errno = response.transport_errno;
+    r.status = response.isReport() ? service::SubmitStatus::kOk
+        : response.isBusy()        ? service::SubmitStatus::kBusy
+        : response.transport_ok    ? service::SubmitStatus::kRejected
+                                   : service::SubmitStatus::kTransport;
+    r.payload = std::move(response.payload);
     return r;
-}
-
-Result
-fromSubmitResult(const std::string &file,
-                 service::SubmitResult result)
-{
-    Result r;
-    r.file = file;
-    r.payload = std::move(result.payload);
-    r.transport_errno = result.transport_errno;
-    switch (result.status) {
-      case service::SubmitStatus::kOk:
-        r.outcome = Outcome::kOk;
-        break;
-      case service::SubmitStatus::kBusy:
-        r.outcome = Outcome::kBusy;
-        break;
-      case service::SubmitStatus::kRejected:
-        r.outcome = Outcome::kProtocol;
-        break;
-      case service::SubmitStatus::kTransport:
-      case service::SubmitStatus::kDeadline:
-      case service::SubmitStatus::kNoEndpoints:
-        r.outcome = Outcome::kTransport;
-        break;
-    }
-    return r;
-}
-
-bool
-connectTo(const Options &opt, service::Client &client,
-          std::string &err)
-{
-    return opt.tcp_port != 0
-        ? client.connectTcp(opt.tcp_port, err)
-        : client.connectUnix(opt.socket_path, err);
 }
 
 std::string
@@ -390,6 +341,23 @@ writeOut(const std::string &path, const std::string &bytes)
     if (!os)
         fatal("cannot open ", path);
     os << bytes;
+}
+
+/**
+ * One transport failure: the daemon, what went wrong (the errno's
+ * text, else @p detail), the errno, and the job's trace if any.
+ */
+void
+printTransport(const std::string &daemon, const std::string &detail,
+               int err, const std::string &file)
+{
+    std::fprintf(stderr,
+                 "hdrd_client: transport: %s: %s (errno %d)%s%s\n",
+                 daemon.c_str(),
+                 err != 0 ? std::strerror(err)
+                          : (detail.empty() ? "connection lost"
+                                            : detail.c_str()),
+                 err, file.empty() ? "" : " for ", file.c_str());
 }
 
 /** --merge / --merge-metrics: offline file merges, no daemons. */
@@ -418,32 +386,6 @@ runMerge(const Options &opt)
     return 0;
 }
 
-std::vector<service::Endpoint>
-parseDaemons(const std::string &list)
-{
-    std::vector<service::Endpoint> endpoints;
-    std::size_t at = 0;
-    while (at <= list.size()) {
-        const std::size_t comma = list.find(',', at);
-        const std::string spec = list.substr(
-            at, comma == std::string::npos ? std::string::npos
-                                           : comma - at);
-        if (!spec.empty()) {
-            service::Endpoint ep;
-            std::string err;
-            if (!service::Endpoint::parse(spec, ep, err))
-                fatal("--daemons: ", err);
-            endpoints.push_back(std::move(ep));
-        }
-        if (comma == std::string::npos)
-            break;
-        at = comma + 1;
-    }
-    if (endpoints.empty())
-        fatal("--daemons: no daemons in list");
-    return endpoints;
-}
-
 service::Router
 makeRouter(const Options &opt)
 {
@@ -452,40 +394,45 @@ makeRouter(const Options &opt)
     config.max_attempts = opt.max_attempts;
     config.job_deadline_ms = opt.deadline_ms;
     config.evict_after = opt.evict_after;
-    return service::Router(parseDaemons(opt.daemons), config);
+    return service::Router(opt.endpoints, config);
 }
 
-/** Fleet --stats / --ping: fan out, then merge or enumerate. */
+/**
+ * --stats / --ping: one daemon prints its own snapshot or PONG;
+ * several are fanned out, then merged or enumerated.
+ */
 int
-runFleetControl(const Options &opt)
+runControl(const Options &opt, service::Router &router)
 {
-    service::Router router = makeRouter(opt);
-    if (opt.ping) {
-        bool all_ok = true;
-        for (std::size_t i = 0; i < router.size(); ++i) {
-            const bool ok = router.probe(i);
-            std::printf("%s %s\n",
-                        router.endpoint(i).name().c_str(),
-                        ok ? "ok" : "dead");
-            all_ok = all_ok && ok;
-        }
-        return all_ok ? 0 : 3;
+    const bool single = router.size() == 1;
+    std::vector<std::string> answers;
+    for (std::size_t i = 0; i < router.size(); ++i) {
+        const std::string name = router.endpoint(i).name();
+        const service::Response response = router.request(
+            i, opt.stats ? service::FrameType::kStats
+                         : service::FrameType::kPing);
+        if (opt.ping && !single)
+            std::printf("%s %s\n", name.c_str(),
+                        response.transport_ok ? "ok" : "dead");
+        else if (!response.transport_ok)
+            printTransport(name, response.payload,
+                           response.transport_errno, "");
+        if (response.transport_ok)
+            answers.push_back(response.payload);
     }
-    const auto snapshots = router.statsAll();
-    std::vector<std::string> reachable;
-    for (std::size_t i = 0; i < snapshots.size(); ++i) {
-        if (snapshots[i].first)
-            reachable.push_back(snapshots[i].second);
-        else
-            std::fprintf(stderr,
-                         "hdrd_client: transport: %s: %s\n",
-                         router.endpoint(i).name().c_str(),
-                         snapshots[i].second.c_str());
-    }
-    if (reachable.empty())
+    if (answers.empty())
         return 3;
-    writeOut("", service::mergeMetrics(reachable));
-    return reachable.size() == snapshots.size() ? 0 : 3;
+    if (single) {
+        // The lifecycle state goes to stderr: explicit for a human
+        // watching a drain, invisible to scripts piping the JSON.
+        if (opt.stats)
+            std::fputs(service::serverStateLine(answers[0]).c_str(),
+                       stderr);
+        std::fputs(answers[0].c_str(), stdout);
+    } else if (opt.stats) {
+        writeOut("", service::mergeMetrics(answers));
+    }
+    return answers.size() == router.size() ? 0 : 3;
 }
 
 /** Classified per-failure diagnostics + the exit code. */
@@ -493,95 +440,68 @@ int
 finish(const Options &opt, const std::vector<Result> &results,
        std::uint64_t rerouted)
 {
+    using service::SubmitStatus;
+    // Anything else (transport, deadline) means no daemon answered.
+    auto answered = [](SubmitStatus status) {
+        return status == SubmitStatus::kOk
+            || status == SubmitStatus::kBusy
+            || status == SubmitStatus::kRejected;
+    };
     std::size_t n_ok = 0, n_busy = 0, n_protocol = 0,
                 n_transport = 0;
+    std::vector<std::string> reports;
     for (const Result &r : results) {
-        switch (r.outcome) {
-          case Outcome::kOk: ++n_ok; break;
-          case Outcome::kBusy: ++n_busy; break;
-          case Outcome::kProtocol: ++n_protocol; break;
-          case Outcome::kTransport: ++n_transport; break;
+        switch (r.outcome.status) {
+          case SubmitStatus::kOk:
+            ++n_ok;
+            reports.push_back(r.outcome.payload);
+            break;
+          case SubmitStatus::kBusy: ++n_busy; break;
+          case SubmitStatus::kRejected: ++n_protocol; break;
+          default: ++n_transport; break;
         }
     }
 
-    // Aggregate output: the fleet path sorts by the reports' own
-    // trace names (cluster schema); the single-daemon path keeps
-    // the basename-sorted agg schema.
-    std::vector<const Result *> ordered;
-    for (const Result &r : results) {
-        if (r.outcome == Outcome::kOk)
-            ordered.push_back(&r);
-    }
-    std::stable_sort(ordered.begin(), ordered.end(),
-                     [](const Result *a, const Result *b) {
-                         const std::string ba = basenameOf(a->file);
-                         const std::string bb = basenameOf(b->file);
-                         return ba != bb ? ba < bb
-                                         : a->file < b->file;
-                     });
-
-    if (!opt.out.empty()) {
-        if (!opt.daemons.empty()) {
-            std::vector<std::string> reports;
-            reports.reserve(ordered.size());
-            for (const Result *r : ordered)
-                reports.push_back(r->payload);
-            writeOut(opt.out,
-                     service::writeClusterReport(
-                         std::move(reports)));
-        } else {
-            std::ofstream os(opt.out, std::ios::trunc);
-            if (!os)
-                fatal("cannot open ", opt.out);
-            os << "{\n\"schema\": \"hdrd-report-agg-v1\",\n"
-                  "\"jobs\": [";
-            const char *sep = "";
-            for (const Result *r : ordered) {
-                os << sep << "\n" << r->payload;
-                sep = ",";
-            }
-            os << "]\n}\n";
-        }
-    }
+    if (!opt.out.empty())
+        writeOut(opt.out, service::writeClusterReport(reports));
     if (!opt.out_dir.empty()) {
-        for (const Result *r : ordered) {
-            const std::string path = opt.out_dir + "/"
-                + basenameOf(r->file) + ".report.json";
-            std::ofstream os(path, std::ios::trunc);
-            if (!os)
-                fatal("cannot open ", path);
-            os << r->payload;
+        for (const Result &r : results) {
+            if (r.outcome.status == SubmitStatus::kOk)
+                writeOut(opt.out_dir + "/" + basenameOf(r.file)
+                             + ".report.json",
+                         r.outcome.payload);
         }
     }
     if (opt.out.empty() && opt.out_dir.empty() && !opt.summary) {
-        for (const Result &r : results)
-            std::fputs(r.payload.c_str(), stdout);
+        for (const Result &r : results) {
+            if (answered(r.outcome.status))
+                std::fputs(r.outcome.payload.c_str(), stdout);
+        }
     }
-    if (opt.summary) {
-        std::printf("ok=%zu busy=%zu error=%zu transport=%zu",
-                    n_ok, n_busy, n_protocol, n_transport);
-        if (!opt.daemons.empty())
-            std::printf(" rerouted=%llu",
-                        static_cast<unsigned long long>(rerouted));
-        std::printf("\n");
-    }
+    if (opt.summary)
+        std::printf("ok=%zu busy=%zu error=%zu transport=%zu "
+                    "rerouted=%llu\n",
+                    n_ok, n_busy, n_protocol, n_transport,
+                    static_cast<unsigned long long>(rerouted));
 
     for (const Result &r : results) {
-        if (r.outcome == Outcome::kProtocol) {
+        const service::SubmitResult &o = r.outcome;
+        if (o.status == SubmitStatus::kRejected) {
             std::fprintf(stderr, "hdrd_client: protocol: %s: %s\n",
                          r.file.c_str(),
-                         r.payload.empty() ? "rejected"
-                                           : r.payload.c_str());
-        } else if (r.outcome == Outcome::kTransport) {
-            std::fprintf(
-                stderr,
-                "hdrd_client: transport: %s: %s (errno %d)\n",
-                r.file.c_str(),
-                r.transport_errno != 0
-                    ? std::strerror(r.transport_errno)
-                    : (r.payload.empty() ? "connection lost"
-                                         : r.payload.c_str()),
-                r.transport_errno);
+                         o.payload.empty() ? "rejected"
+                                           : o.payload.c_str());
+        } else if (!answered(o.status)) {
+            printTransport(
+                o.endpoint >= 0
+                    ? opt.endpoints[static_cast<std::size_t>(
+                                        o.endpoint)]
+                          .name()
+                    : std::string("no daemon"),
+                o.status == SubmitStatus::kDeadline
+                    ? "job deadline expired"
+                    : o.payload,
+                o.transport_errno, r.file);
         }
     }
     if (n_protocol > 0)
@@ -591,15 +511,23 @@ finish(const Options &opt, const std::vector<Result> &results,
     return n_busy > 0 ? 2 : 0;
 }
 
-void
-printTransport(const std::string &what, const std::string &detail,
-               int err)
+/**
+ * Connect @p client to the one daemon --stream and --follow talk to;
+ * a failed connect is reported against @p file.
+ */
+bool
+connectSole(const Options &opt, const char *flag,
+            service::Client &client, const std::string &file)
 {
-    std::fprintf(stderr,
-                 "hdrd_client: transport: %s: %s (errno %d)\n",
-                 what.c_str(),
-                 detail.empty() ? "connection lost" : detail.c_str(),
-                 err);
+    if (opt.endpoints.size() != 1)
+        fatal(flag, " needs exactly one daemon, got ",
+              opt.endpoints.size());
+    std::string err;
+    if (opt.endpoints[0].connect(client, err))
+        return true;
+    printTransport(opt.endpoints[0].name(), err, client.lastErrno(),
+                   file);
+    return false;
 }
 
 /** --follow=NAME: attach to a live session and tail its partials. */
@@ -607,11 +535,8 @@ int
 runFollow(const Options &opt)
 {
     service::Client client;
-    std::string err;
-    if (!connectTo(opt, client, err)) {
-        printTransport(opt.follow, err, client.lastErrno());
+    if (!connectSole(opt, "--follow", client, ""))
         return 3;
-    }
     service::StreamHandlers handlers;
     handlers.on_partial = [](const std::string &json) {
         std::fputs(json.c_str(), stdout);
@@ -620,8 +545,8 @@ runFollow(const Options &opt)
     const service::Response response =
         client.follow(opt.follow, handlers);
     if (!response.transport_ok) {
-        printTransport(opt.follow, response.payload,
-                       response.transport_errno);
+        printTransport(opt.endpoints[0].name(), response.payload,
+                       response.transport_errno, "");
         return 3;
     }
     if (!response.isReport()
@@ -653,11 +578,8 @@ runStream(const Options &opt)
     std::istream &in = from_stdin ? std::cin : file;
 
     service::Client client;
-    std::string err;
-    if (!connectTo(opt, client, err)) {
-        printTransport(path, err, client.lastErrno());
+    if (!connectSole(opt, "--stream", client, path))
         return 3;
-    }
 
     const std::string name = !opt.session.empty()
         ? opt.session
@@ -677,18 +599,23 @@ runStream(const Options &opt)
         };
 
     std::vector<Result> results;
-    results.push_back(fromResponse(
-        from_stdin ? name : path,
-        client.submitStream(opt.job, name, source, handlers)));
+    results.push_back(
+        {from_stdin ? name : path,
+         fromResponse(
+             client.submitStream(opt.job, name, source, handlers))});
     return finish(opt, results, 0);
 }
 
-/** Fleet submission: router placement, per-daemon pipelining. */
+/**
+ * Every buffered job goes through the router: --parallel submitters,
+ * each carrying the whole list (times --repeat) over its own
+ * connections, results in submitter then list order.
+ */
 int
-runFleet(const Options &opt)
+runSubmit(const Options &opt, service::Router &router)
 {
-    service::Router router = makeRouter(opt);
-
+    // Every distinct trace is loaded once, up front, so file I/O
+    // never sits on the submission hot path.
     std::map<std::string, std::string> images;
     for (const std::string &path : opt.traces) {
         if (images.count(path) == 0)
@@ -699,32 +626,37 @@ runFleet(const Options &opt)
     // land on the same daemon (warm caches), and placement does not
     // depend on the directory the client ran from.
     std::vector<service::Router::BatchJob> jobs;
-    std::vector<const std::string *> files;
-    const std::size_t total = static_cast<std::size_t>(opt.parallel)
-        * opt.repeat * opt.traces.size();
-    jobs.reserve(total);
-    files.reserve(total);
-    for (std::uint32_t s = 0; s < opt.parallel; ++s) {
-        for (std::uint32_t rep = 0; rep < opt.repeat; ++rep) {
-            for (const std::string &path : opt.traces) {
-                service::Router::BatchJob job;
-                job.key = basenameOf(path);
-                job.options = opt.job;
-                job.trace = &images.at(path);
-                jobs.push_back(std::move(job));
-                files.push_back(&path);
-            }
-        }
+    jobs.reserve(static_cast<std::size_t>(opt.repeat)
+                 * opt.traces.size());
+    for (std::uint32_t rep = 0; rep < opt.repeat; ++rep) {
+        for (const std::string &path : opt.traces)
+            jobs.push_back(
+                {basenameOf(path), opt.job, &images.at(path)});
     }
 
-    const std::vector<service::SubmitResult> outcomes =
-        router.submitBatch(jobs, opt.pipeline);
+    std::vector<std::vector<service::SubmitResult>> outcomes(
+        opt.parallel);
+    auto submitter = [&](std::uint32_t s) {
+        outcomes[s] = router.submitBatch(jobs, opt.pipeline);
+    };
+    if (opt.parallel == 1) {
+        submitter(0);
+    } else {
+        std::vector<std::thread> threads;
+        threads.reserve(opt.parallel);
+        for (std::uint32_t s = 0; s < opt.parallel; ++s)
+            threads.emplace_back(submitter, s);
+        for (std::thread &t : threads)
+            t.join();
+    }
 
     std::vector<Result> results;
-    results.reserve(outcomes.size());
-    for (std::size_t i = 0; i < outcomes.size(); ++i)
-        results.push_back(
-            fromSubmitResult(*files[i], outcomes[i]));
+    results.reserve(opt.parallel * jobs.size());
+    for (std::vector<service::SubmitResult> &batch : outcomes) {
+        for (std::size_t i = 0; i < batch.size(); ++i)
+            results.push_back({opt.traces[i % opt.traces.size()],
+                               std::move(batch[i])});
+    }
     return finish(opt, results, router.reroutedJobs());
 }
 
@@ -737,147 +669,17 @@ main(int argc, char **argv)
 
     if (opt.merge || opt.merge_metrics)
         return runMerge(opt);
-
-    if (!opt.follow.empty()) {
-        if (!opt.daemons.empty())
-            fatal("--follow needs --socket/--tcp, not --daemons");
+    if (!opt.follow.empty())
         return runFollow(opt);
-    }
 
-    if (!opt.daemons.empty() && (opt.stats || opt.ping))
-        return runFleetControl(opt);
-
-    if (opt.stats || opt.ping) {
-        service::Client client;
-        std::string err;
-        if (!connectTo(opt, client, err)) {
-            std::fprintf(stderr,
-                         "hdrd_client: transport: %s (errno %d)\n",
-                         err.c_str(), client.lastErrno());
-            return 3;
-        }
-        const service::Response response =
-            opt.stats ? client.stats() : client.ping();
-        if (!response.transport_ok) {
-            std::fprintf(
-                stderr,
-                "hdrd_client: transport: request failed "
-                "(connection lost, errno %d)\n",
-                response.transport_errno);
-            return 3;
-        }
-        // The lifecycle state goes to stderr: explicit for a human
-        // watching a drain, invisible to scripts piping the JSON.
-        if (opt.stats)
-            std::fputs(
-                service::serverStateLine(response.payload).c_str(),
-                stderr);
-        std::fputs(response.payload.c_str(), stdout);
-        return 0;
-    }
+    service::Router router = makeRouter(opt);
+    if (opt.stats || opt.ping)
+        return runControl(opt, router);
     if (opt.traces.empty()) {
         usage();
         fatal("no traces to submit");
     }
-
-    if (opt.stream) {
-        if (!opt.daemons.empty())
-            fatal("--stream needs --socket/--tcp, not --daemons");
+    if (opt.stream)
         return runStream(opt);
-    }
-
-    if (!opt.daemons.empty())
-        return runFleet(opt);
-
-    std::vector<Result> results(
-        static_cast<std::size_t>(opt.traces.size()) * opt.parallel
-        * opt.repeat);
-    std::atomic<std::size_t> slot{0};
-
-    // Every distinct trace is loaded once, up front, so file I/O
-    // never sits on the submission hot path.
-    std::map<std::string, std::string> images;
-    for (const std::string &path : opt.traces) {
-        if (images.count(path) == 0)
-            images[path] = slurp(path);
-    }
-
-    // One kept-alive connection carrying the whole job list with up
-    // to --pipeline frames in flight; BUSY replies are re-submitted
-    // after the server's retry hint.
-    auto submitAll = [&]() {
-        service::Client client;
-        std::string err;
-        if (!connectTo(opt, client, err)) {
-            Result &r = results[slot.fetch_add(1)];
-            r.file = "(connect)";
-            r.outcome = Outcome::kTransport;
-            r.payload = err;
-            r.transport_errno = client.lastErrno();
-            return;
-        }
-        std::vector<service::PipelineSubmission> jobs;
-        std::vector<const std::string *> files;
-        jobs.reserve(static_cast<std::size_t>(opt.repeat)
-                     * opt.traces.size());
-        for (std::uint32_t rep = 0; rep < opt.repeat; ++rep) {
-            for (const std::string &path : opt.traces) {
-                service::PipelineSubmission job;
-                job.options = opt.job;
-                job.trace_bytes = &images.at(path);
-                jobs.push_back(job);
-                files.push_back(&path);
-            }
-        }
-        std::vector<service::Response> responses =
-            client.submitPipelined(jobs, opt.pipeline);
-
-        for (std::uint32_t attempt = 0; attempt < opt.retries;
-             ++attempt) {
-            std::vector<std::size_t> busy;
-            std::uint64_t wait = 1;
-            for (std::size_t i = 0; i < responses.size(); ++i) {
-                if (responses[i].isBusy()) {
-                    busy.push_back(i);
-                    wait = std::max(wait,
-                                    responses[i].retry_after_ms);
-                }
-            }
-            if (busy.empty())
-                break;
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(wait));
-            // A daemon at its connection limit refused and closed
-            // this connection: come back on a fresh one.
-            if (!client.connected() && !connectTo(opt, client, err))
-                break;
-            std::vector<service::PipelineSubmission> again;
-            again.reserve(busy.size());
-            for (std::size_t i : busy)
-                again.push_back(jobs[i]);
-            std::vector<service::Response> retried =
-                client.submitPipelined(again, opt.pipeline);
-            for (std::size_t k = 0; k < busy.size(); ++k)
-                responses[busy[k]] = std::move(retried[k]);
-        }
-
-        for (std::size_t i = 0; i < responses.size(); ++i) {
-            Result &r = results[slot.fetch_add(1)];
-            r = fromResponse(*files[i], std::move(responses[i]));
-        }
-    };
-
-    if (opt.parallel == 1) {
-        submitAll();
-    } else {
-        std::vector<std::thread> threads;
-        threads.reserve(opt.parallel);
-        for (std::uint32_t s = 0; s < opt.parallel; ++s)
-            threads.emplace_back(submitAll);
-        for (std::thread &t : threads)
-            t.join();
-    }
-    results.resize(slot.load());
-
-    return finish(opt, results, 0);
+    return runSubmit(opt, router);
 }
