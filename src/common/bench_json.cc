@@ -64,8 +64,6 @@ writeBenchJson(std::ostream &os, const BenchMeta &meta,
        << "    \"tier\": \"" << escape(meta.tier) << "\",\n"
        << "    \"host\": \"" << escape(meta.host) << "\",\n"
        << "    \"build\": \"" << escape(meta.build) << "\",\n"
-       << "    \"simd_level\": \"" << escape(meta.simd_level)
-       << "\",\n"
        << "    \"alloc_tracked\": "
        << (meta.alloc_tracked ? "true" : "false") << "\n"
        << "  },\n";

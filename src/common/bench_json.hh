@@ -2,15 +2,14 @@
  * @file
  * Machine-readable benchmark output: the BENCH_engine.json schema.
  *
- * One schema ("hdrd-bench-v2") shared by every producer of host-side
- * performance numbers — tools/hdrd_bench (the full workload x mode
- * sweep) and hdrd_sim --bench-json (a single run) — so the perf
- * trajectory across PRs is one homogeneous series of files.
+ * One schema ("hdrd-bench-v2"), written by tools/hdrd_bench (the
+ * workload x mode sweep), so the perf trajectory is one homogeneous
+ * series of files.
  *
  * v2 extends v1 with memory columns (per-cell allocator traffic when
- * the interposer is linked, process peak RSS, and the active SIMD
- * level); every v1 field is unchanged, so v1 consumers keep working
- * on v2 files that they read leniently.
+ * the interposer is linked, and process peak RSS); every v1 field is
+ * unchanged, so v1 consumers keep working on v2 files that they read
+ * leniently.
  */
 
 #ifndef HDRD_COMMON_BENCH_JSON_HH
@@ -102,9 +101,6 @@ struct BenchMeta
 
     /** v2: were the per-cell alloc columns actually counted? */
     bool alloc_tracked = false;
-
-    /** v2: active clock-kernel flavour ("scalar"|"sse42"|"avx2"). */
-    std::string simd_level;
 
     /** v2: bench tier that produced the cells ("default"|"large"). */
     std::string tier = "default";

@@ -24,16 +24,11 @@ ThreadId
 VectorClock::firstGreaterExcept(const VectorClock &other,
                                 ThreadId except) const
 {
-    const std::uint32_t common = std::min(size_, other.size_);
-    const std::size_t hit = simd::kernels().first_greater_except(
-        data(), other.data(), common, except);
-    if (hit != simd::kNotFound)
-        return static_cast<ThreadId>(hit);
-    // Beyond other's stored size its components are implicitly zero,
-    // so any nonzero component here wins.
-    for (std::uint32_t i = common; i < size_; ++i) {
-        if (i != except && data()[i] != 0)
-            return static_cast<ThreadId>(i);
+    // Beyond other's stored size its components are implicitly zero
+    // (get() returns 0), so any nonzero component here wins.
+    for (std::uint32_t i = 0; i < size_; ++i) {
+        if (i != except && data()[i] > other.get(i))
+            return i;
     }
     return kInvalidThread;
 }

@@ -10,10 +10,11 @@
  * detect/clock_pool.hh) recycle their dense storage across
  * inflation/collapse cycles instead of round-tripping malloc.
  *
- * The O(T) kernels — join, leq, firstGreaterExcept, soleNonzero —
- * run on runtime-dispatched SIMD (detect/clock_simd.hh) over the flat
- * array, with a portable scalar fallback that computes bit-identical
- * results.
+ * The O(T) operations — join, leq, firstGreaterExcept, soleNonzero —
+ * are plain loops over the flat array. The workloads run a handful
+ * of threads (4 by default), where vector kernels for these loops
+ * bought no end-to-end time (docs/PERF.md records them as a dead
+ * end).
  */
 
 #ifndef HDRD_DETECT_VECTOR_CLOCK_HH
@@ -24,7 +25,6 @@
 #include <ostream>
 
 #include "common/types.hh"
-#include "detect/clock_simd.hh"
 
 namespace hdrd::detect
 {
@@ -105,11 +105,12 @@ class VectorClock
     /** Element-wise max with @p other (the "join" of sync ops). */
     void join(const VectorClock &other)
     {
-        if (other.size_ == 0)
-            return;
         if (other.size_ > size_)
             grow(other.size_);
-        simd::kernels().join_max(data(), other.data(), other.size_);
+        ClockValue *mine = data();
+        const ClockValue *theirs = other.data();
+        for (std::uint32_t i = 0; i < other.size_; ++i)
+            mine[i] = std::max(mine[i], theirs[i]);
     }
 
     /**
@@ -119,14 +120,19 @@ class VectorClock
     bool leq(const VectorClock &other) const
     {
         const std::uint32_t common = std::min(size_, other.size_);
-        const simd::KernelTable &k = simd::kernels();
-        if (k.any_greater(data(), other.data(), common))
-            return false;
+        const ClockValue *mine = data();
+        const ClockValue *theirs = other.data();
+        for (std::uint32_t i = 0; i < common; ++i) {
+            if (mine[i] > theirs[i])
+                return false;
+        }
         // Components past other's stored size compare against an
         // implicit zero: any nonzero one breaks the order.
-        return size_ <= other.size_
-            || !k.any_nonzero_except(data() + common, size_ - common,
-                                     simd::kNotFound);
+        for (std::uint32_t i = common; i < size_; ++i) {
+            if (mine[i] != 0)
+                return false;
+        }
+        return true;
     }
 
     /**
@@ -140,7 +146,12 @@ class VectorClock
     /** True when every nonzero component belongs to @p tid. */
     bool soleNonzero(ThreadId tid) const
     {
-        return !simd::kernels().any_nonzero_except(data(), size_, tid);
+        const ClockValue *mine = data();
+        for (std::uint32_t i = 0; i < size_; ++i) {
+            if (i != tid && mine[i] != 0)
+                return false;
+        }
+        return true;
     }
 
     /** Number of explicitly stored components. */
@@ -171,7 +182,7 @@ class VectorClock
     friend std::ostream &operator<<(std::ostream &os,
                                     const VectorClock &vc);
 
-    /** Flat component storage (SIMD kernels, tests). */
+    /** Flat component storage (tests). */
     const ClockValue *data() const
     {
         // Invariant hint: components past kInlineSlots always live on

@@ -13,6 +13,16 @@ namespace
 
 constexpr std::int64_t kUnplaceableLoad = INT64_MAX;
 
+/** Ring virtual nodes per endpoint (placement smoothness). */
+constexpr std::uint32_t kVirtualNodes = 64;
+
+/**
+ * Ceiling on the dead-daemon re-probe backoff, well above the retry
+ * cap: under the retry cap every dead daemon would be re-probed — a
+ * fresh connect each time — every couple of seconds forever.
+ */
+constexpr std::uint64_t kDeadRetryCapMs = 10000;
+
 std::uint64_t
 fnv1a(const std::string &text)
 {
@@ -113,11 +123,11 @@ Router::Router(std::vector<Endpoint> endpoints, RouterConfig config)
       health_(endpoints_.size()),
       rng_state_(mix64(config.retry_seed) | 1)
 {
-    ring_.reserve(static_cast<std::size_t>(config_.virtual_nodes)
+    ring_.reserve(static_cast<std::size_t>(kVirtualNodes)
                   * endpoints_.size());
     for (std::uint32_t i = 0; i < endpoints_.size(); ++i) {
         const std::uint64_t base = fnv1a(endpoints_[i].name());
-        for (std::uint32_t v = 0; v < config_.virtual_nodes; ++v)
+        for (std::uint32_t v = 0; v < kVirtualNodes; ++v)
             ring_.push_back({mix64(base ^ v), i});
     }
     std::sort(ring_.begin(), ring_.end(),
@@ -255,7 +265,7 @@ Router::markDead(std::size_t index)
     h.failures = std::min<std::uint32_t>(h.failures + 1, 16);
     std::uint64_t backoff = config_.dead_retry_ms
         << std::min<std::uint32_t>(h.failures - 1, 6);
-    backoff = std::min(backoff, config_.dead_retry_cap_ms);
+    backoff = std::min(backoff, kDeadRetryCapMs);
     if (backoff > 1)
         backoff = backoff / 2 + xorshift64(rng_state_) % (backoff / 2 + 1);
     h.retry_at =

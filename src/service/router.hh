@@ -107,19 +107,8 @@ struct RouterConfig
      */
     std::uint64_t io_timeout_ms = 10000;
 
-    /** Ring virtual nodes per endpoint (placement smoothness). */
-    std::uint32_t virtual_nodes = 64;
-
-    /** First dead-daemon re-probe delay; doubles up to the cap. */
+    /** First dead-daemon re-probe delay; doubles up to 10 s. */
     std::uint64_t dead_retry_ms = 100;
-
-    /**
-     * Ceiling on the dead-daemon re-probe backoff. Without its own
-     * cap the re-probe schedule kept borrowing the (shorter) retry
-     * cap, so every dead daemon was re-probed — a fresh connect each
-     * time — every couple of seconds forever.
-     */
-    std::uint64_t dead_retry_cap_ms = 10000;
 
     /**
      * Evict an endpoint from the placement ring after this many

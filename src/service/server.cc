@@ -587,15 +587,14 @@ Server::streamOpen(Connection &conn, std::uint64_t job_id,
         };
         callbacks.on_partial = [this, key](std::uint64_t,
                                            const std::string &json) {
-            streamFanout(key, FrameType::kJobPartial, json);
+            streamFanout(key, json);
         };
         callbacks.on_done = [this, key](bool ok,
                                         const std::string &json) {
-            streamFanout(key,
-                         ok ? FrameType::kJobReport
-                            : FrameType::kJobError,
-                         json);
-            streamFinished(key);
+            streamFinished(key,
+                           ok ? FrameType::kJobReport
+                              : FrameType::kJobError,
+                           json);
         };
 
         StreamEntry entry;
@@ -629,15 +628,9 @@ Server::streamAttach(Connection &conn, std::uint64_t follow_id,
 }
 
 void
-Server::streamFanout(const std::string &name, FrameType type,
-                     const std::string &json)
+Server::postToSubscribers(const StreamEntry &entry, FrameType type,
+                          const std::string &json)
 {
-    std::lock_guard<std::mutex> lock(streams_mutex_);
-    const auto it = streams_.find(name);
-    if (it == streams_.end())
-        return;
-    const StreamEntry &entry = it->second;
-
     Completion completion;
     completion.counted = false;
     completion.type = type;
@@ -655,12 +648,26 @@ Server::streamFanout(const std::string &name, FrameType type,
 }
 
 void
-Server::streamFinished(const std::string &name)
+Server::streamFanout(const std::string &name, const std::string &json)
+{
+    std::lock_guard<std::mutex> lock(streams_mutex_);
+    const auto it = streams_.find(name);
+    if (it != streams_.end())
+        postToSubscribers(it->second, FrameType::kJobPartial, json);
+}
+
+void
+Server::streamFinished(const std::string &name, FrameType type,
+                       const std::string &json)
 {
     std::lock_guard<std::mutex> lock(streams_mutex_);
     const auto it = streams_.find(name);
     if (it == streams_.end())
         return;
+    // One hold posts the final and retires the entry, so an ATTACH
+    // either joins before the final (and receives it) or finds no
+    // session (and is refused); none is accepted into silence.
+    postToSubscribers(it->second, type, json);
     // Runs on the session's own engine thread, so the join happens
     // later (reapStreamZombies) from a shard thread or stop().
     stream_zombies_.push_back(std::move(it->second.session));

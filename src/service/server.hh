@@ -284,15 +284,21 @@ class Server
     /** Shard bookkeeping when a connection goes away. */
     void connectionClosed(std::uint64_t conn_id = 0);
 
-    /**
-     * Mirror a session event to its uploader and every follower.
-     * @param type kJobPartial, or kJobReport/kJobError for the final
-     */
-    void streamFanout(const std::string &name, FrameType type,
-                      const std::string &json);
+    /** Post one frame to a session's uploader and every follower.
+     *  Caller holds streams_mutex_. */
+    void postToSubscribers(const StreamEntry &entry, FrameType type,
+                           const std::string &json);
 
-    /** Retire a completed session into the zombie list. */
-    void streamFinished(const std::string &name);
+    /** Mirror a partial report to the uploader and every follower. */
+    void streamFanout(const std::string &name, const std::string &json);
+
+    /**
+     * Post the final (@p type kJobReport or kJobError) to the
+     * uploader and every follower, and retire the session into the
+     * zombie list, under one streams_mutex_ hold.
+     */
+    void streamFinished(const std::string &name, FrameType type,
+                        const std::string &json);
 
     /** Join and free engine threads of completed sessions. */
     void reapStreamZombies();

@@ -6,8 +6,10 @@
  * emergency-grant escape from skewed traces), abort/truncation
  * handling, and the server plane end to end — streamed finals
  * byte-identical to SUBMIT_JOB reports, exactly one reply per
- * SUBMIT_JOB, ATTACH fanout, and client-kill session recovery with
- * gauges settling back to zero.
+ * SUBMIT_JOB, ATTACH fanout (including an ATTACH racing the final),
+ * client-kill session recovery with gauges settling back to zero,
+ * and wire-level edge cases: credit overrun, data for an unknown id,
+ * a duplicate SUBMIT_END, and a frame cut mid-payload.
  */
 
 #include <gtest/gtest.h>
@@ -154,14 +156,15 @@ runStreamed(const std::string &image, std::uint64_t buffer_cap,
     feedAll(session, image, chunk);
 }
 
+/** A STATS value, or -1 while the metric is absent (counters appear
+ *  on first use, so awaitGauge waits for them). */
 std::int64_t
 gaugeValue(Client &client, const char *name)
 {
     const Response stats = client.stats();
     EXPECT_TRUE(stats.transport_ok);
     std::int64_t value = -1;
-    EXPECT_TRUE(Router::metricValue(stats.payload, name, value))
-        << stats.payload;
+    Router::metricValue(stats.payload, name, value);
     return value;
 }
 
@@ -353,7 +356,8 @@ struct TestServer
     std::unique_ptr<Server> server;
 
     explicit TestServer(const char *tag, std::uint32_t max_streams = 8,
-                        std::uint64_t partial_interval = 200)
+                        std::uint64_t partial_interval = 200,
+                        std::uint64_t stream_buffer = 64 * 1024)
     {
         path = std::string(::testing::TempDir()) + "hdrd_stream_"
             + tag + ".sock";
@@ -362,7 +366,7 @@ struct TestServer
         config.workers = 2;
         config.queue_capacity = 8;
         config.max_streams = max_streams;
-        config.stream_buffer = 64 * 1024;
+        config.stream_buffer = stream_buffer;
         config.partial_interval_ops = partial_interval;
         server = std::make_unique<Server>(std::move(config));
         std::string err;
@@ -718,4 +722,173 @@ TEST(ServerStream, FollowerFinalLeavesSameIdUploadRunning)
     ::close(fd);
     ::close(owner);
     EXPECT_TRUE(awaitGauge(poller, "stream.active_sessions", 0));
+}
+
+TEST(ServerStream, AttachRacingTheFinalGetsRefusalOrFinal)
+{
+    // The follower sends ATTACH the moment the uploader has read its
+    // final. The session posts that final and retires in one step, so
+    // the ATTACH is refused, or answered ok and then sent the final;
+    // an ok followed by nothing would leave a follower waiting
+    // forever.
+    TestServer ts("attachrace");
+    const std::string image = traceImage(racyTrace(50), "attachrace");
+    JobOptions options;
+    options.flags = kJobOmitHostTiming;
+
+    for (int round = 0; round < 25; ++round) {
+        const std::string name = "race" + std::to_string(round);
+        const int follower = rawConnect(ts.path);
+        readTimeout(follower);
+        const int uploader = rawConnect(ts.path);
+        readTimeout(uploader);
+        ASSERT_TRUE(writeFrame(uploader, FrameType::kSubmitStream,
+                               streamOpenPayload(1, name, options)));
+        ASSERT_TRUE(
+            writeJobFrame(uploader, FrameType::kSubmitData, 1, image));
+        ASSERT_TRUE(
+            writeJobFrame(uploader, FrameType::kSubmitEnd, 1, ""));
+        FrameType type = FrameType::kError;
+        std::string report;
+        ASSERT_TRUE(readFinal(uploader, 1, type, report));
+        ASSERT_EQ(type, FrameType::kJobReport) << report;
+
+        ASSERT_TRUE(writeFrame(follower, FrameType::kAttach,
+                               attachPayload(9, name)));
+        std::string payload;
+        ASSERT_TRUE(readFrame(follower, type, payload));
+        ASSERT_EQ(type, FrameType::kAttachReply);
+        std::uint64_t id = 0;
+        std::string status;
+        ASSERT_TRUE(splitJobPayload(payload, id, status));
+        EXPECT_EQ(id, 9u);
+        if (status.find("\"status\": \"ok\"") != std::string::npos) {
+            std::string followed;
+            ASSERT_TRUE(readFinal(follower, 9, type, followed))
+                << "round " << round
+                << ": ATTACH answered ok, then no final";
+            EXPECT_EQ(type, FrameType::kJobReport);
+            EXPECT_EQ(followed, report);
+        } else {
+            EXPECT_NE(status.find("no live streaming session"),
+                      std::string::npos)
+                << status;
+        }
+        ::close(uploader);
+        ::close(follower);
+    }
+}
+
+TEST(ServerStream, CreditOverrunIsAConnectionError)
+{
+    // Bytes past the granted credit are a protocol violation: an
+    // ERROR frame, then the connection closes. The session aborts
+    // without leaking, and a job on another connection is unchanged.
+    TestServer ts("overrun", 8, 200, /*stream_buffer=*/4096);
+    const std::string image = traceImage(racyTrace(400), "overrun");
+    ASSERT_GT(image.size(), 8192u);
+    JobOptions options;
+    options.flags = kJobOmitHostTiming;
+
+    Client client;
+    std::string err;
+    ASSERT_TRUE(client.connectUnix(ts.path, err)) << err;
+    const Response golden = client.submit(options, image);
+    ASSERT_TRUE(golden.isReport()) << golden.payload;
+
+    const int fd = rawConnect(ts.path);
+    readTimeout(fd);
+    ASSERT_TRUE(writeFrame(fd, FrameType::kSubmitStream,
+                           streamOpenPayload(1, "greedy", options)));
+    ASSERT_TRUE(writeJobFrame(fd, FrameType::kSubmitData, 1,
+                              image.substr(0, 8192)));
+    FrameType type = FrameType::kCredit;
+    std::string payload;
+    while (type == FrameType::kCredit)
+        ASSERT_TRUE(readFrame(fd, type, payload));
+    ASSERT_EQ(type, FrameType::kError) << payload;
+    EXPECT_NE(payload.find("stream credit exceeded"), std::string::npos)
+        << payload;
+    EXPECT_FALSE(readFrame(fd, type, payload)) << "connection stayed open";
+    ::close(fd);
+
+    EXPECT_TRUE(awaitGauge(client, "stream.aborts", 1));
+    EXPECT_TRUE(awaitGauge(client, "stream.active_sessions", 0));
+    EXPECT_TRUE(awaitGauge(client, "stream.buffered_bytes", 0));
+    const Response after = client.submit(options, image);
+    ASSERT_TRUE(after.isReport()) << after.payload;
+    EXPECT_EQ(after.payload, golden.payload);
+}
+
+TEST(ServerStream, DataForUnknownIdIsDiscarded)
+{
+    TestServer ts("unknownid");
+    const int fd = rawConnect(ts.path);
+    readTimeout(fd);
+    ASSERT_TRUE(writeJobFrame(fd, FrameType::kSubmitData, 5,
+                              std::string(100, 'x')));
+    ASSERT_TRUE(writeFrame(fd, FrameType::kPing, ""));
+    FrameType type = FrameType::kError;
+    std::string payload;
+    ASSERT_TRUE(readFrame(fd, type, payload));
+    EXPECT_EQ(type, FrameType::kPong) << payload;
+    ::close(fd);
+}
+
+TEST(ServerStream, DuplicateEndGetsOneReport)
+{
+    TestServer ts("twoends");
+    const std::string image = traceImage(racyTrace(50), "twoends");
+    JobOptions options;
+    options.flags = kJobOmitHostTiming;
+
+    const int fd = rawConnect(ts.path);
+    readTimeout(fd);
+    ASSERT_TRUE(writeFrame(fd, FrameType::kSubmitStream,
+                           streamOpenPayload(3, "twice", options)));
+    ASSERT_TRUE(writeJobFrame(fd, FrameType::kSubmitData, 3, image));
+    ASSERT_TRUE(writeJobFrame(fd, FrameType::kSubmitEnd, 3, ""));
+    ASSERT_TRUE(writeJobFrame(fd, FrameType::kSubmitEnd, 3, ""));
+    FrameType type = FrameType::kError;
+    std::string json;
+    ASSERT_TRUE(readFinal(fd, 3, type, json));
+    EXPECT_EQ(type, FrameType::kJobReport) << json;
+
+    // The second END added nothing: the next frame answers a PING.
+    ASSERT_TRUE(writeFrame(fd, FrameType::kPing, ""));
+    std::string payload;
+    ASSERT_TRUE(readFrame(fd, type, payload));
+    EXPECT_EQ(type, FrameType::kPong) << payload;
+    ::close(fd);
+}
+
+TEST(ServerStream, DataCutMidPayloadThenHangupLeaksNothing)
+{
+    TestServer ts("cut");
+    const std::string image = traceImage(racyTrace(400), "cut");
+    JobOptions options;
+    options.flags = kJobOmitHostTiming;
+
+    Client client;
+    std::string err;
+    ASSERT_TRUE(client.connectUnix(ts.path, err)) << err;
+
+    // A SUBMIT_DATA header promising 1000 trace bytes, then 500 of
+    // them, then a hangup.
+    const int fd = rawConnect(ts.path);
+    ASSERT_TRUE(writeFrame(fd, FrameType::kSubmitStream,
+                           streamOpenPayload(4, "cut", options)));
+    FrameHeader header;
+    header.type = static_cast<std::uint32_t>(FrameType::kSubmitData);
+    header.length = sizeof(std::uint64_t) + 1000;
+    const std::uint64_t id = 4;
+    ASSERT_TRUE(writeAllFd(fd, &header, sizeof(header)));
+    ASSERT_TRUE(writeAllFd(fd, &id, sizeof(id)));
+    ASSERT_TRUE(writeAllFd(fd, image.data(), 500));
+    ASSERT_TRUE(awaitGauge(client, "server.trace_bytes_received", 500));
+    ::close(fd);
+
+    EXPECT_TRUE(awaitGauge(client, "stream.active_sessions", 0));
+    EXPECT_TRUE(awaitGauge(client, "stream.buffered_bytes", 0));
+    EXPECT_TRUE(awaitGauge(client, "stream.aborts", 1));
 }

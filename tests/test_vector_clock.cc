@@ -334,8 +334,8 @@ randomPair(Rng &rng)
 {
     VectorClock vc;
     RefClock ref;
-    // Sizes straddle the inline/heap boundary and the SIMD block
-    // width so every storage shape and kernel tail length occurs.
+    // Sizes straddle the inline/heap boundary so both storage shapes
+    // occur, and pairs of unequal size exercise the implicit-zero tail.
     const std::uint64_t entries = rng.nextBounded(24);
     for (std::uint64_t i = 0; i < entries; ++i) {
         const auto tid = static_cast<ThreadId>(rng.nextBounded(40));

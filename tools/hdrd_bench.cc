@@ -30,8 +30,8 @@
  *   hdrd_bench --tier=large             # ABL-11 long-stream sweep
  *   hdrd_bench --tier=large --append    # add large cells to the file
  *   hdrd_bench --workers=8 --repeat=3   # quieter timing on a busy host
- *   hdrd_bench --hashes=FILE            # dump-hash manifest (CI diffs
- *                                       # scalar vs SIMD builds)
+ *   hdrd_bench --hashes=FILE            # dump-hash manifest for
+ *                                       # cross-build diffs
  */
 
 #include <chrono>
@@ -52,7 +52,6 @@
 #include "common/bench_json.hh"
 #include "common/cli.hh"
 #include "common/logging.hh"
-#include "detect/clock_simd.hh"
 #include "instr/cost_model.hh"
 #include "pmu/faults.hh"
 #include "runtime/simulator.hh"
@@ -670,7 +669,6 @@ main(int argc, char **argv)
     for (const benchjson::BenchCell &r : results)
         meta.peak_rss_kb = std::max(meta.peak_rss_kb, r.peak_rss_kb);
     meta.alloc_tracked = alloc_tracked;
-    meta.simd_level = detect::simd::activeLevel();
     meta.tier = opt.large ? "large" : "default";
     meta.host = hostStamp();
     meta.build = buildStamp();
@@ -693,9 +691,8 @@ main(int argc, char **argv)
 
     if (!opt.hashes_out.empty()) {
         // Timing-free manifest: one line per cell, stable across
-        // worker counts, repeats, and (by design) SIMD levels. CI
-        // diffs these files between scalar and SIMD builds. Large-
-        // tier sweeps mix scales, so the workload column carries it.
+        // worker counts and repeats. Large-tier sweeps mix scales,
+        // so the workload column carries it.
         std::ofstream hf(opt.hashes_out);
         if (!hf)
             fatal("cannot open ", opt.hashes_out, " for writing");
@@ -722,8 +719,7 @@ main(int argc, char **argv)
                 std::chrono::duration<double>(sweep_t1 - sweep_t0)
                     .count(),
                 nworkers, opt.out.c_str());
-    std::printf("clock kernels: %s, peak rss: %llu KiB%s\n",
-                meta.simd_level.c_str(),
+    std::printf("peak rss: %llu KiB%s\n",
                 static_cast<unsigned long long>(meta.peak_rss_kb),
                 alloc_tracked ? "" : ", allocs untracked");
     if (cont_ft > 0.0) {

@@ -13,18 +13,14 @@
  *   hdrd_sim --replay=dedup.trc --mode=continuous
  */
 
-#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <cstring>
 #include <string>
 
-#include "common/alloc_stats.hh"
-#include "common/bench_json.hh"
 #include "common/cli.hh"
 #include "common/logging.hh"
-#include "detect/clock_simd.hh"
 #include "instr/cost_model.hh"
 #include "pmu/faults.hh"
 #include "runtime/simulator.hh"
@@ -42,7 +38,6 @@ struct Options
     std::string workload;
     std::string replay;
     std::string record;
-    std::string bench_json;
     std::string report_json;
     instr::ToolMode mode = instr::ToolMode::kDemand;
     runtime::DetectorKind detector =
@@ -116,8 +111,6 @@ usage()
         "accesses\n"
         "  --pebs-staleness=N     drop PEBS captures older than N "
         "accesses\n"
-        "  --bench-json=FILE      write a one-cell hdrd-bench-v1 "
-        "timing file\n"
         "  --report-json=FILE     write an hdrd-report-v1 race "
         "report (the\n"
         "                         same writer hdrd_served replies "
@@ -163,8 +156,6 @@ parse(int argc, char **argv)
             opt.replay = value;
         } else if (eat(arg, "--record=", value)) {
             opt.record = value;
-        } else if (eat(arg, "--bench-json=", value)) {
-            opt.bench_json = value;
         } else if (eat(arg, "--report-json=", value)) {
             opt.report_json = value;
         } else if (eat(arg, "--mode=", value)) {
@@ -358,64 +349,7 @@ main(int argc, char **argv)
         to_run = recording.get();
     }
 
-    const auto run_t0 = std::chrono::steady_clock::now();
     const auto result = runtime::Simulator::runWith(*to_run, config);
-    const auto run_t1 = std::chrono::steady_clock::now();
-
-    if (!opt.bench_json.empty()) {
-        // One-cell hdrd-bench-v2 file: same schema as hdrd_bench so
-        // single runs slot into the cross-PR perf series. The alloc
-        // columns stay zero here — only hdrd_bench links the
-        // interposer — and meta.alloc_tracked says so.
-        const double seconds =
-            std::chrono::duration<double>(run_t1 - run_t0).count();
-        benchjson::BenchCell cell;
-        cell.workload = program->name();
-        cell.suite = opt.replay.empty() ? "cli" : "replay";
-        cell.mode = opt.mode == instr::ToolMode::kDemand
-            ? std::string("demand-")
-                  + demand::strategyName(opt.strategy)
-            : instr::toolModeName(opt.mode);
-        if (opt.mode == instr::ToolMode::kNative) {
-            cell.detector = "none";
-        } else {
-            switch (opt.detector) {
-              case runtime::DetectorKind::kFastTrack:
-                cell.detector = "fasttrack";
-                break;
-              case runtime::DetectorKind::kNaiveHb:
-                cell.detector = "naive";
-                break;
-              case runtime::DetectorKind::kLockset:
-                cell.detector = "lockset";
-                break;
-            }
-        }
-        cell.wall_seconds = seconds;
-        cell.sim_ops = result.total_ops;
-        cell.sim_mem_accesses = result.mem_accesses;
-        cell.sim_wall_cycles = result.wall_cycles;
-        cell.races_unique = result.reports.uniqueCount();
-        cell.host_ops_per_sec = seconds > 0.0
-            ? static_cast<double>(result.total_ops) / seconds
-            : 0.0;
-
-        benchjson::BenchMeta meta;
-        meta.tool = "hdrd_sim";
-        meta.scale = opt.scale;
-        meta.seed = opt.seed;
-        meta.threads = opt.threads;
-        meta.cores = opt.cores;
-        meta.peak_rss_kb = peakRssKb();
-        meta.alloc_tracked = allocTrackingActive();
-        meta.simd_level = detect::simd::activeLevel();
-
-        std::ofstream os(opt.bench_json);
-        if (!os)
-            fatal("cannot open bench json file ", opt.bench_json);
-        benchjson::writeBenchJson(os, meta, {cell});
-        std::printf("bench json   %s\n", opt.bench_json.c_str());
-    }
 
     if (!opt.report_json.empty()) {
         // The daemon's report writer: lets CI diff hdrd_served
