@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
+#include <string_view>
 
 #include <arpa/inet.h>
 #include <fcntl.h>
@@ -18,6 +21,40 @@ namespace hdrd::service
 
 namespace
 {
+
+/** Socket bytes per read, and the stream upload chunk. */
+constexpr std::size_t kChunk = 64 * 1024;
+
+/** Append one frame whose payload is @p parts, in order. */
+void
+appendFrame(std::string &tx, FrameType type,
+            std::initializer_list<std::string_view> parts = {})
+{
+    FrameHeader header;
+    header.type = static_cast<std::uint32_t>(type);
+    for (const std::string_view part : parts)
+        header.length += part.size();
+    tx.append(reinterpret_cast<const char *>(&header), sizeof(header));
+    for (const std::string_view part : parts)
+        tx.append(part);
+}
+
+/** The bytes of a fixed-layout value, as the protocol sends them. */
+template <typename T>
+std::string_view
+wire(const T &value)
+{
+    return {reinterpret_cast<const char *>(&value), sizeof(value)};
+}
+
+/** A job's final answer, or an unkeyed refusal standing for one. */
+bool
+isAnswer(FrameType type)
+{
+    return type == FrameType::kJobReport || type == FrameType::kJobBusy
+        || type == FrameType::kJobError || type == FrameType::kBusy
+        || type == FrameType::kError;
+}
 
 /** Minimal field extraction: "retry_after_ms": N. */
 std::uint64_t
@@ -83,6 +120,31 @@ Client::close()
         ::close(fd_);
         fd_ = -1;
     }
+    rx_.clear();
+    tx_.clear();
+    tx_pos_ = 0;
+    pings_ = 0;
+}
+
+bool
+Client::connectTo(int family, const void *addr, unsigned len,
+                  const std::string &what, std::string &err)
+{
+    fd_ = ::socket(family, SOCK_STREAM, 0);
+    if (fd_ < 0) {
+        last_errno_ = errno;
+        err = std::string("socket: ") + std::strerror(errno);
+        return false;
+    }
+    // Non-blocking once, for good: every exchange polls.
+    if (::connect(fd_, static_cast<const sockaddr *>(addr), len) != 0
+        || ::fcntl(fd_, F_SETFL, O_NONBLOCK) != 0) {
+        last_errno_ = errno;
+        err = "cannot connect to " + what + ": " + std::strerror(errno);
+        close();
+        return false;
+    }
+    return true;
 }
 
 bool
@@ -95,24 +157,10 @@ Client::connectUnix(const std::string &path, std::string &err)
         err = "socket path too long: " + path;
         return false;
     }
-    fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd_ < 0) {
-        last_errno_ = errno;
-        err = std::string("socket: ") + std::strerror(errno);
-        return false;
-    }
     addr.sun_family = AF_UNIX;
     std::strncpy(addr.sun_path, path.c_str(),
                  sizeof(addr.sun_path) - 1);
-    if (::connect(fd_, reinterpret_cast<sockaddr *>(&addr),
-                  sizeof(addr)) != 0) {
-        last_errno_ = errno;
-        err = "cannot connect to " + path + ": "
-            + std::strerror(errno);
-        close();
-        return false;
-    }
-    return true;
+    return connectTo(AF_UNIX, &addr, sizeof(addr), path, err);
 }
 
 bool
@@ -130,62 +178,169 @@ Client::connectTcp(const std::string &host, std::uint16_t port,
         err = "not a numeric IPv4 host: " + host;
         return false;
     }
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd_ < 0) {
-        last_errno_ = errno;
-        err = std::string("socket: ") + std::strerror(errno);
-        return false;
-    }
-    if (::connect(fd_, reinterpret_cast<sockaddr *>(&addr),
-                  sizeof(addr)) != 0) {
-        last_errno_ = errno;
-        err = "cannot connect to " + numeric + ":"
-            + std::to_string(port) + ": " + std::strerror(errno);
-        close();
-        return false;
-    }
-    return true;
+    return connectTo(AF_INET, &addr, sizeof(addr),
+                     numeric + ":" + std::to_string(port), err);
 }
 
 bool
-Client::setTimeouts(std::uint64_t timeout_ms)
+Client::peerAnswersPing() const
 {
-    if (fd_ < 0)
+    sockaddr_storage peer{};
+    socklen_t len = sizeof(peer);
+    if (::getpeername(fd_, reinterpret_cast<sockaddr *>(&peer), &len)
+        != 0)
         return false;
-    timeval tv{};
-    tv.tv_sec = static_cast<time_t>(timeout_ms / 1000);
-    tv.tv_usec =
-        static_cast<suseconds_t>((timeout_ms % 1000) * 1000);
-    return ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv,
-                        sizeof(tv)) == 0
-        && ::setsockopt(fd_, SOL_SOCKET, SO_SNDTIMEO, &tv,
-                        sizeof(tv)) == 0;
+    Client probe;
+    probe.setTimeouts(io_timeout_ms_);
+    std::string err;
+    // Any answer will do: a daemon at its connection limit refuses
+    // with BUSY, which still proves it alive.
+    return probe.connectTo(peer.ss_family, &peer, len, "peer", err)
+        && probe.ping().transport_ok;
+}
+
+int
+Client::exchange(const Refill &refill, const OnFrame &on_frame,
+                 bool owes_jobs)
+{
+    using Clock = std::chrono::steady_clock;
+    const auto fail = [this](int err) {
+        last_errno_ = err;
+        close();
+        return err;
+    };
+    if (fd_ < 0)
+        return fail(ENOTCONN);
+    const std::chrono::milliseconds timeout(io_timeout_ms_);
+    auto quiet_since = Clock::now();
+    bool pinged = false;    // a liveness PING awaits any byte back
+    bool writable = true;   // until the daemon hangs up on a write
+
+    for (;;) {
+        // Hand over every complete frame buffered so far.
+        std::size_t pos = 0;
+        Verdict verdict = Verdict::kMore;
+        while (verdict == Verdict::kMore
+               && rx_.size() - pos >= sizeof(FrameHeader)) {
+            FrameHeader header;
+            std::memcpy(&header, rx_.data() + pos, sizeof(header));
+            const auto type = static_cast<FrameType>(header.type);
+            const std::size_t skip =
+                isJobKeyed(type) ? sizeof(std::uint64_t) : 0;
+            if (header.magic != kFrameMagic
+                || !validFrameType(header.type)
+                || header.length > kMaxFrameLength
+                || header.length < skip)
+                return fail(EPROTO);
+            if (rx_.size() - pos - sizeof(header) < header.length)
+                break;
+            const char *payload = rx_.data() + pos + sizeof(header);
+            pos += sizeof(header) + header.length;
+            std::uint64_t id = 0;
+            std::memcpy(&id, payload, skip);
+            std::string body(payload + skip, header.length - skip);
+            if (type == FrameType::kPong && pings_ > 0)
+                --pings_;  // a PONG this exchange did not ask for
+            else
+                verdict = on_frame(type, id, body);
+        }
+        rx_.erase(0, pos);
+        if (verdict == Verdict::kBad)
+            return fail(EPROTO);
+        if (verdict == Verdict::kDone)
+            return 0;
+
+        if (tx_pos_ == tx_.size()) {
+            tx_.clear();
+            tx_pos_ = 0;
+            if (writable && refill) {
+                // Time spent in the caller's source (a slow producer
+                // on a pipe) is not the daemon's silence.
+                const auto entered = Clock::now();
+                refill(tx_);
+                quiet_since += Clock::now() - entered;
+            }
+        }
+        int wait_ms = -1;
+        if (timeout.count() > 0) {
+            const auto quiet = Clock::now() - quiet_since;
+            if (quiet >= timeout) {
+                // A job may just be long: ask the daemon, on this
+                // connection, whether its I/O plane is alive. If that
+                // PING goes unanswered too, this connection may only
+                // be parked behind a window above --max-pipeline: a
+                // PING on a fresh connection decides.
+                if (!owes_jobs || (pinged && !peerAnswersPing()))
+                    return fail(ETIMEDOUT);
+                if (!pinged) {
+                    appendFrame(tx_, FrameType::kPing);
+                    ++pings_;
+                    pinged = true;
+                }
+                quiet_since = Clock::now();
+                continue;
+            }
+            wait_ms = static_cast<int>(
+                std::chrono::ceil<std::chrono::milliseconds>(
+                    timeout - quiet)
+                    .count());
+        }
+
+        pollfd pfd{fd_, POLLIN, 0};
+        if (writable && tx_pos_ < tx_.size())
+            pfd.events |= POLLOUT;
+        if (::poll(&pfd, 1, wait_ms) < 0) {
+            if (errno == EINTR)
+                continue;
+            return fail(errno);
+        }
+        if (pfd.revents & POLLOUT) {
+            const ssize_t n = ::send(fd_, tx_.data() + tx_pos_,
+                                     tx_.size() - tx_pos_,
+                                     MSG_NOSIGNAL);
+            if (n >= 0) {
+                tx_pos_ += static_cast<std::size_t>(n);
+                quiet_since = Clock::now();
+            } else if (errno == EPIPE || errno == ECONNRESET) {
+                // The daemon hung up, maybe after answering (BUSY at
+                // its connection limit): read what it sent.
+                writable = false;
+            } else if (errno != EAGAIN && errno != EINTR) {
+                return fail(errno);
+            }
+        }
+        if (pfd.revents & (POLLIN | POLLHUP | POLLERR | POLLNVAL)) {
+            char buf[kChunk];
+            const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
+            if (n == 0)
+                return fail(ECONNRESET);
+            if (n > 0) {
+                rx_.append(buf, static_cast<std::size_t>(n));
+                quiet_since = Clock::now();
+                pinged = false;
+            } else if (errno != EAGAIN && errno != EINTR) {
+                return fail(errno);
+            }
+        }
+    }
 }
 
 Response
-Client::roundTrip(FrameType type, const std::string &payload)
+Client::control(FrameType request)
 {
     Response response;
-    if (fd_ < 0)
-        return response;
-    errno = 0;
-    if (!writeFrame(fd_, type, payload)) {
-        last_errno_ = response.transport_errno = errno;
-        return response;
-    }
-
-    FrameHeader header;
-    std::string err;
-    if (!readFrameHeader(fd_, header, err)) {
-        last_errno_ = response.transport_errno = errno;
-        return response;
-    }
-    if (!readPayload(fd_, header.length, response.payload)) {
-        last_errno_ = response.transport_errno = errno;
-        return response;
-    }
-    response.transport_ok = true;
-    response.type = static_cast<FrameType>(header.type);
+    appendFrame(tx_, request);
+    response.transport_errno = exchange(
+        nullptr,
+        [&](FrameType type, std::uint64_t, std::string &body) {
+            if (isJobKeyed(type))
+                return Verdict::kMore;
+            response.transport_ok = true;
+            response.type = type;
+            response.payload = std::move(body);
+            return Verdict::kDone;
+        },
+        false);
     return response;
 }
 
@@ -199,70 +354,64 @@ Client::submit(const JobOptions &options,
 Response
 Client::stats()
 {
-    return roundTrip(FrameType::kStats, "");
+    return control(FrameType::kStats);
 }
 
 Response
 Client::ping()
 {
-    return roundTrip(FrameType::kPing, "");
+    return control(FrameType::kPing);
 }
 
-bool
-Client::sendJob(std::uint64_t job_id, const JobOptions &options,
-                const std::string &trace_bytes)
+std::vector<Response>
+Client::submitPipelined(const std::vector<PipelineSubmission> &jobs,
+                        std::size_t window)
 {
-    std::string payload;
-    payload.reserve(sizeof(job_id) + sizeof(options)
-                    + trace_bytes.size());
-    payload.append(reinterpret_cast<const char *>(&job_id),
-                   sizeof(job_id));
-    payload.append(reinterpret_cast<const char *>(&options),
-                   sizeof(options));
-    payload.append(trace_bytes);
-    return writeFrame(fd_, FrameType::kSubmitJob, payload);
-}
-
-bool
-Client::readJobResponse(std::uint64_t &job_id, Response &response)
-{
-    FrameHeader header;
-    std::string err;
-    errno = 0;
-    if (!readFrameHeader(fd_, header, err)) {
-        last_errno_ = response.transport_errno = errno;
-        return false;
+    std::vector<Response> responses(jobs.size());
+    if (jobs.empty())
+        return responses;
+    window = std::max<std::size_t>(1, window);
+    std::size_t sent = 0;
+    std::size_t answered = 0;
+    // Fill the window; a small job rides along with the one before
+    // it, a large one goes out alone.
+    const auto refill = [&](std::string &tx) {
+        for (; sent < jobs.size() && sent - answered < window
+               && tx.size() < kChunk;
+             ++sent) {
+            const std::uint64_t id = sent;
+            const PipelineSubmission &job = jobs[sent];
+            appendFrame(tx, FrameType::kSubmitJob,
+                        {wire(id), wire(job.options),
+                         job.trace_bytes
+                             ? std::string_view(*job.trace_bytes)
+                             : std::string_view()});
+        }
+    };
+    const int err = exchange(
+        refill,
+        [&](FrameType type, std::uint64_t id, std::string &body) {
+            if (!isAnswer(type))
+                return Verdict::kBad;
+            if (!isJobKeyed(type)) {
+                Response refusal;
+                setAnswer(refusal, type, std::move(body));
+                answerRest(responses, refusal);
+                return Verdict::kDone;
+            }
+            if (id >= sent || responses[id].transport_ok)
+                return Verdict::kBad;
+            setAnswer(responses[id], type, std::move(body));
+            return ++answered == jobs.size() ? Verdict::kDone
+                                             : Verdict::kMore;
+        },
+        true);
+    if (err != 0) {
+        Response lost;
+        lost.transport_errno = err;
+        answerRest(responses, lost);
     }
-    std::string payload;
-    if (!readPayload(fd_, header.length, payload)) {
-        last_errno_ = response.transport_errno = errno;
-        return false;
-    }
-    const auto type = static_cast<FrameType>(header.type);
-    if (!isJobKeyed(type)) {
-        setAnswer(response, type, std::move(payload));
-        return false;
-    }
-    std::string body;
-    if (!splitJobPayload(payload, job_id, body)) {
-        last_errno_ = response.transport_errno = EPROTO;
-        return false;
-    }
-    setAnswer(response, type, std::move(body));
-    return true;
-}
-
-bool
-Client::setNonBlocking(bool on)
-{
-    if (fd_ < 0)
-        return false;
-    const int flags = ::fcntl(fd_, F_GETFL, 0);
-    if (flags < 0)
-        return false;
-    const int want = on ? (flags | O_NONBLOCK)
-                        : (flags & ~O_NONBLOCK);
-    return ::fcntl(fd_, F_SETFL, want) == 0;
+    return responses;
 }
 
 Response
@@ -272,203 +421,54 @@ Client::submitStream(const JobOptions &options,
                      const StreamHandlers &handlers)
 {
     Response response;
-    if (fd_ < 0 || !source)
+    if (!source)
         return response;
     // One stream per exchange; the wire id only has to be unique on
     // this connection.
     const std::uint64_t job_id = 1;
-
-    errno = 0;
-    if (!writeFrame(fd_, FrameType::kSubmitStream,
-                    streamOpenPayload(job_id, name, options))) {
-        last_errno_ = response.transport_errno = errno;
-        return response;
-    }
-    if (!setNonBlocking(true)) {
-        last_errno_ = response.transport_errno = errno;
-        close();
-        return response;
-    }
-
-    // From here both directions are non-blocking: the server may
-    // stall its reads (credit spent, a partial still unflushed to
-    // us) at any moment, so the client must keep consuming frames
-    // while it has data queued — a blocking write here is how the
-    // classic two-sided pipe deadlock happens.
-    constexpr std::size_t kChunk = 64 * 1024;
-    std::string rx;
-    std::size_t rx_pos = 0;
-    std::string tx;
-    std::size_t tx_pos = 0;
     std::uint64_t granted = 0;
     std::uint64_t sent = 0;
     bool eof = false;
-    bool done = false;
-    bool failed = false;
     std::vector<char> chunk(kChunk);
-
-    const auto fail = [&](int err) {
-        last_errno_ = response.transport_errno = err;
-        failed = done = true;
-    };
-    const auto appendFrame = [&tx](FrameType type,
-                                   std::uint64_t id,
-                                   const char *data,
-                                   std::size_t n) {
-        FrameHeader header;
-        header.type = static_cast<std::uint32_t>(type);
-        header.length = sizeof(id) + n;
-        tx.append(reinterpret_cast<const char *>(&header),
-                  sizeof(header));
-        tx.append(reinterpret_cast<const char *>(&id), sizeof(id));
-        if (n > 0)
-            tx.append(data, n);
-    };
-    const auto handleFrame = [&](FrameType type,
-                                 std::string payload) {
-        std::uint64_t id = 0;
-        std::string body;
-        if (isJobKeyed(type)
-            && !splitJobPayload(payload, id, body)) {
-            fail(EPROTO);
+    appendFrame(tx_, FrameType::kSubmitStream,
+                {streamOpenPayload(job_id, name, options)});
+    const auto refill = [&](std::string &tx) {
+        if (eof || sent == granted)
             return;
-        }
-        switch (type) {
-        case FrameType::kCredit: {
+        const std::uint64_t room =
+            std::min<std::uint64_t>(kChunk, granted - sent);
+        const std::size_t got =
+            source(chunk.data(), static_cast<std::size_t>(room));
+        sent += got;
+        eof = got == 0;
+        appendFrame(tx,
+                    eof ? FrameType::kSubmitEnd : FrameType::kSubmitData,
+                    {wire(job_id), std::string_view(chunk.data(), got)});
+    };
+    response.transport_errno = exchange(
+        refill,
+        [&](FrameType type, std::uint64_t, std::string &body) {
             std::uint64_t grant = 0;
-            if (!parseCreditBody(body, grant)) {
-                fail(EPROTO);
-                return;
+            switch (type) {
+              case FrameType::kCredit:
+                if (!parseCreditBody(body, grant))
+                    return Verdict::kBad;
+                granted = std::max(granted, grant);
+                if (handlers.on_credit)
+                    handlers.on_credit(granted);
+                return Verdict::kMore;
+              case FrameType::kJobPartial:
+                if (handlers.on_partial)
+                    handlers.on_partial(body);
+                return Verdict::kMore;
+              default:
+                if (!isAnswer(type))
+                    return Verdict::kBad;
+                setAnswer(response, type, std::move(body));
+                return Verdict::kDone;
             }
-            granted = std::max(granted, grant);
-            if (handlers.on_credit)
-                handlers.on_credit(granted);
-            return;
-        }
-        case FrameType::kJobPartial:
-            if (handlers.on_partial)
-                handlers.on_partial(body);
-            return;
-        case FrameType::kJobReport:
-        case FrameType::kJobBusy:
-        case FrameType::kJobError:
-            setAnswer(response, type, std::move(body));
-            done = true;
-            return;
-        case FrameType::kBusy:
-        case FrameType::kError:
-            // The daemon refused the connection or a frame.
-            setAnswer(response, type, std::move(payload));
-            done = true;
-            return;
-        default:
-            fail(EPROTO);
-        }
-    };
-
-    while (!done) {
-        // Top up the outbound buffer within the credit window.
-        if (tx_pos == tx.size() && !eof) {
-            tx.clear();
-            tx_pos = 0;
-            if (sent < granted) {
-                const std::size_t want = static_cast<std::size_t>(
-                    std::min<std::uint64_t>(kChunk,
-                                            granted - sent));
-                const std::size_t got =
-                    source(chunk.data(), want);
-                if (got == 0) {
-                    eof = true;
-                    appendFrame(FrameType::kSubmitEnd, job_id,
-                                nullptr, 0);
-                } else {
-                    sent += got;
-                    appendFrame(FrameType::kSubmitData, job_id,
-                                chunk.data(), got);
-                }
-            }
-        }
-
-        pollfd pfd{fd_, POLLIN, 0};
-        if (tx_pos < tx.size())
-            pfd.events |= POLLOUT;
-        const int rc = ::poll(&pfd, 1, -1);
-        if (rc < 0) {
-            if (errno == EINTR)
-                continue;
-            fail(errno);
-            break;
-        }
-        if (pfd.revents & (POLLERR | POLLNVAL)) {
-            fail(ECONNRESET);
-            break;
-        }
-
-        if ((pfd.revents & POLLOUT) && tx_pos < tx.size()) {
-            const ssize_t n = ::send(fd_, tx.data() + tx_pos,
-                                     tx.size() - tx_pos,
-                                     MSG_NOSIGNAL);
-            if (n < 0) {
-                if (errno != EAGAIN && errno != EWOULDBLOCK
-                    && errno != EINTR) {
-                    fail(errno);
-                    break;
-                }
-            } else {
-                tx_pos += static_cast<std::size_t>(n);
-            }
-        }
-
-        if (pfd.revents & (POLLIN | POLLHUP)) {
-            char buf[64 * 1024];
-            const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
-            if (n == 0) {
-                fail(ECONNRESET);
-                break;
-            }
-            if (n < 0) {
-                if (errno != EAGAIN && errno != EWOULDBLOCK
-                    && errno != EINTR) {
-                    fail(errno);
-                    break;
-                }
-            } else {
-                rx.append(buf, static_cast<std::size_t>(n));
-            }
-
-            // Parse every complete frame buffered so far.
-            while (!done
-                   && rx.size() - rx_pos >= sizeof(FrameHeader)) {
-                FrameHeader header;
-                std::memcpy(&header, rx.data() + rx_pos,
-                            sizeof(header));
-                if (header.magic != kFrameMagic
-                    || !validFrameType(header.type)
-                    || header.length > kMaxFrameLength) {
-                    fail(EPROTO);
-                    break;
-                }
-                if (rx.size() - rx_pos
-                    < sizeof(header) + header.length)
-                    break;
-                std::string payload(
-                    rx.data() + rx_pos + sizeof(header),
-                    static_cast<std::size_t>(header.length));
-                rx_pos += sizeof(header)
-                    + static_cast<std::size_t>(header.length);
-                handleFrame(static_cast<FrameType>(header.type),
-                            std::move(payload));
-            }
-            if (rx_pos > 0 && rx_pos == rx.size()) {
-                rx.clear();
-                rx_pos = 0;
-            }
-        }
-    }
-
-    setNonBlocking(false);
-    if (failed || !response.transport_ok)
-        close();
+        },
+        true);
     return response;
 }
 
@@ -477,120 +477,37 @@ Client::follow(const std::string &name,
                const StreamHandlers &handlers)
 {
     Response response;
-    if (fd_ < 0)
-        return response;
     const std::uint64_t follow_id = 1;
-
-    errno = 0;
-    if (!writeFrame(fd_, FrameType::kAttach,
-                    attachPayload(follow_id, name))) {
-        last_errno_ = response.transport_errno = errno;
-        return response;
-    }
-
-    // Attach-side is read-only, so plain blocking reads suffice.
-    for (;;) {
-        FrameHeader header;
-        std::string err;
-        errno = 0;
-        if (!readFrameHeader(fd_, header, err)) {
-            last_errno_ = response.transport_errno = errno;
-            return response;
-        }
-        std::string payload;
-        if (!readPayload(fd_, header.length, payload)) {
-            last_errno_ = response.transport_errno = errno;
-            return response;
-        }
-        const auto type = static_cast<FrameType>(header.type);
-        if (!isJobKeyed(type)) {
-            // A connection-level refusal (plain BUSY or ERROR);
-            // surface it verbatim.
-            response.transport_ok = true;
-            response.type = type;
-            response.payload = std::move(payload);
-            return response;
-        }
-        std::uint64_t id = 0;
-        std::string body;
-        if (!splitJobPayload(payload, id, body))
-            return response;
-        switch (type) {
-        case FrameType::kAttachReply:
-            if (body.find("\"status\": \"ok\"")
-                == std::string::npos) {
+    appendFrame(tx_, FrameType::kAttach,
+                {attachPayload(follow_id, name)});
+    response.transport_errno = exchange(
+        nullptr,
+        [&](FrameType type, std::uint64_t, std::string &body) {
+            switch (type) {
+              case FrameType::kJobPartial:
+                if (handlers.on_partial)
+                    handlers.on_partial(body);
+                return Verdict::kMore;
+              case FrameType::kAttachReply:
+                if (body.find("\"status\": \"ok\"") != std::string::npos)
+                    return Verdict::kMore;
+                [[fallthrough]];
+              case FrameType::kBusy:
+              case FrameType::kError:
+                // A refused attach or connection, as is.
                 response.transport_ok = true;
                 response.type = type;
                 response.payload = std::move(body);
-                return response;
+                return Verdict::kDone;
+              default:
+                if (!isAnswer(type))
+                    return Verdict::kBad;
+                setAnswer(response, type, std::move(body));
+                return Verdict::kDone;
             }
-            break;
-        case FrameType::kJobPartial:
-            if (handlers.on_partial)
-                handlers.on_partial(body);
-            break;
-        default:
-            setAnswer(response, type, std::move(body));
-            return response;
-        }
-    }
-}
-
-std::vector<Response>
-Client::submitPipelined(const std::vector<PipelineSubmission> &jobs,
-                        std::size_t window)
-{
-    std::vector<Response> responses(jobs.size());
-    if (fd_ < 0 || jobs.empty())
-        return responses;
-    window = std::max<std::size_t>(1, window);
-
-    std::size_t next_send = 0;
-    std::size_t outstanding = 0;
-    bool writable = true;
-    while (next_send < jobs.size() || outstanding > 0) {
-        // Fill the window, then trade one response per new frame.
-        while (writable && next_send < jobs.size()
-               && outstanding < window) {
-            const PipelineSubmission &job = jobs[next_send];
-            errno = 0;
-            if (sendJob(next_send, job.options,
-                        job.trace_bytes ? *job.trace_bytes
-                                        : std::string())) {
-                ++next_send;
-                ++outstanding;
-                continue;
-            }
-            last_errno_ = errno;
-            if (errno != EPIPE && errno != ECONNRESET) {
-                Response lost;
-                lost.transport_errno = last_errno_;
-                answerRest(responses, lost);
-                close();
-                return responses;
-            }
-            // The daemon closed on us, maybe after answering (BUSY
-            // at its connection limit): read what it sent.
-            writable = false;
-        }
-        std::uint64_t job_id = 0;
-        Response response;
-        if (!readJobResponse(job_id, response)) {
-            answerRest(responses, response);
-            close();
-            return responses;
-        }
-        if (job_id >= jobs.size() || responses[job_id].transport_ok) {
-            Response bad;
-            bad.transport_errno = last_errno_ = EPROTO;
-            answerRest(responses, bad);
-            close();
-            return responses;
-        }
-        responses[job_id] = std::move(response);
-        --outstanding;
-    }
-    return responses;
+        },
+        true);
+    return response;
 }
 
 } // namespace hdrd::service

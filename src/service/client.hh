@@ -92,10 +92,14 @@ struct StreamHandlers
 /**
  * One connection to an hdrd_served instance.
  *
- * submitPipelined() keeps a bounded window of SUBMIT_JOB frames in
- * flight and correlates the out-of-order responses by job id;
- * submit() is the window-1 case. stats()/ping() are request/response.
- * The connection stays usable across calls (keep-alive).
+ * Every call is one exchange on the connection's single poll loop:
+ * the socket is non-blocking from connect on, the loop writes what
+ * the call allows next (a pipelined job within the window, a stream
+ * chunk within the credit, or one control or ATTACH frame) while it
+ * reads, and hands each frame it reads to the call by type and job
+ * id. So a daemon that stops reading can never deadlock against a
+ * client blocked writing. submit() is submitPipelined() with window
+ * 1. The connection stays usable across calls (keep-alive).
  */
 class Client
 {
@@ -126,12 +130,22 @@ class Client
     int lastErrno() const { return last_errno_; }
 
     /**
-     * Bound every subsequent send/recv on this connection to
-     * @p timeout_ms (SO_RCVTIMEO/SO_SNDTIMEO). A hung daemon then
-     * surfaces as a transport failure (EAGAIN) instead of a stalled
-     * client. Call after connect; 0 restores blocking I/O.
+     * Bound silence on the connection to @p timeout_ms (0, the
+     * default, waits forever). Silence is no byte moving in either
+     * direction, so a long upload is never silent. A STATS or PING
+     * exchange fails after one silent timeout. An exchange still
+     * owed a job's answer sends a PING on the same connection
+     * instead; after a second silent timeout it PINGs the daemon on
+     * a fresh connection and fails only if that goes unanswered too.
+     * The daemon's I/O plane answers PING however long the job runs,
+     * so a long job is awaited and a hung daemon is not. Time spent
+     * in a StreamSource is not silence. A timed-out exchange reports
+     * ETIMEDOUT. The setting outlives reconnects.
      */
-    bool setTimeouts(std::uint64_t timeout_ms);
+    void setTimeouts(std::uint64_t timeout_ms)
+    {
+        io_timeout_ms_ = timeout_ms;
+    }
 
     void close();
 
@@ -151,11 +165,10 @@ class Client
     /**
      * Pipeline @p jobs over this connection with at most @p window
      * SUBMIT_JOB frames outstanding, collecting out-of-order
-     * responses by job id.
-     *
-     * The window bound is what makes the exchange deadlock-free
-     * against the server's own per-connection in-flight cap: one
-     * response is consumed before each new frame past the window.
+     * responses by job id. Above the daemon's --max-pipeline the
+     * daemon stops reading at the next job, and a liveness PING
+     * queued behind it waits too; the fresh-connection PING then
+     * tells the parked connection from a hung daemon.
      *
      * @return one Response per job, in submission order. A transport
      *         failure fails the remaining responses
@@ -171,13 +184,9 @@ class Client
 
     /**
      * Stream a trace (SUBMIT_STREAM + SUBMIT_DATA/SUBMIT_END) while
-     * concurrently consuming CREDIT grants, JOB_PARTIAL reports, and
-     * the final response. The
-     * socket runs non-blocking with poll() on both directions for
-     * the duration, so a server that pauses reading (credit
-     * exhausted, partial unread) can never deadlock against a
-     * client blocked writing. Uploads never outrun the cumulative
-     * credit and go out in chunks of at most 64 KiB.
+     * consuming CREDIT grants, JOB_PARTIAL reports, and the final
+     * response. Uploads never outrun the cumulative credit and go
+     * out in chunks of at most 64 KiB.
      *
      * @param name    session name other clients can ATTACH to
      * @param source  trace bytes, pulled as credit permits
@@ -194,31 +203,72 @@ class Client
      * Follow a live streaming session by name (ATTACH): tail its
      * JOB_PARTIAL reports through @p handlers until the final
      * response, which is returned. An attach refusal returns a
-     * Response with type kAttachReply carrying the status JSON.
+     * Response with type kAttachReply carrying the status JSON; a
+     * refused connection returns the unkeyed BUSY or ERROR as is.
      */
     Response follow(const std::string &name,
                     const StreamHandlers &handlers = {});
 
   private:
-    Response roundTrip(FrameType type, const std::string &payload);
+    /** What an exchange makes of one frame it read. */
+    enum class Verdict
+    {
+        kMore,  ///< keep reading
+        kDone,  ///< the exchange is over
+        kBad,   ///< a frame this exchange cannot take (EPROTO)
+    };
 
-    /** Write one SUBMIT_JOB frame. */
-    bool sendJob(std::uint64_t job_id, const JobOptions &options,
-                 const std::string &trace_bytes);
+    /** Append the frames to write next to the drained tx buffer. */
+    using Refill = std::function<void(std::string &tx)>;
 
     /**
-     * Read one job-keyed response frame.
-     * @return false when the exchange is over: @p response then
-     *         holds an unkeyed refusal as its keyed equivalent, or a
-     *         transport failure.
+     * Take one frame; @p id is the job id of a job-keyed frame
+     * (split off @p body), 0 for an unkeyed one.
      */
-    bool readJobResponse(std::uint64_t &job_id, Response &response);
+    using OnFrame = std::function<Verdict(
+        FrameType type, std::uint64_t id, std::string &body)>;
 
-    /** Toggle O_NONBLOCK on the connection socket. */
-    bool setNonBlocking(bool on);
+    /**
+     * The one read loop: write tx_ and whatever @p refill appends
+     * each time it drains, and hand every frame read to @p on_frame
+     * until it says kDone. @p owes_jobs selects the silence rule of
+     * setTimeouts(). After a write the daemon hung up on, the loop
+     * still reads what it sent first.
+     * @return 0 when on_frame finished the exchange, else the
+     *         transport errno (the connection is then closed).
+     */
+    int exchange(const Refill &refill, const OnFrame &on_frame,
+                 bool owes_jobs);
+
+    /** One STATS or PING request and its reply. */
+    Response control(FrameType request);
+
+    /** Shared tail of connectUnix()/connectTcp(). */
+    bool connectTo(int family, const void *addr, unsigned len,
+                   const std::string &what, std::string &err);
+
+    /**
+     * Whether a fresh connection to this one's daemon answers PING
+     * within the timeout: a hung daemon does not, a healthy one that
+     * parked this connection does.
+     */
+    bool peerAnswersPing() const;
 
     int fd_ = -1;
     int last_errno_ = 0;
+    std::uint64_t io_timeout_ms_ = 0;
+
+    /**
+     * Bytes read but not yet handed to an exchange, and frames
+     * queued but not yet written. Both outlive an exchange, so a
+     * frame is never cut and a reply read early is not lost.
+     */
+    std::string rx_;
+    std::string tx_;
+    std::size_t tx_pos_ = 0;
+
+    /** Liveness PINGs queued whose PONG, to be skipped, is owed. */
+    std::uint32_t pings_ = 0;
 };
 
 } // namespace hdrd::service

@@ -82,9 +82,22 @@ Connection::rxPaused() const
     const std::uint32_t cap =
         std::max<std::uint32_t>(1, server_.config().max_pipeline);
     // Unflushed responses count against the cap: a client that
-    // pipelines but never reads stalls its own connection instead of
-    // growing the daemon's outbound queue without bound.
-    return in_flight_ + outbox_.size() >= cap;
+    // pipelines (or pings) but never reads stalls its own connection
+    // instead of growing the daemon's outbound queue without bound.
+    if (outbox_.size() >= cap)
+        return true;
+    if (in_flight_ + outbox_.size() < cap)
+        return false;
+    // At the cap only the next job waits. A PING or STATS behind a
+    // full window is still answered, which is how a client tells a
+    // long job from a hung daemon; at most one read chunk is
+    // buffered past the cap.
+    FrameHeader next;
+    if (state_ != RxState::kFrameHeader
+        || rxAvailable() < sizeof(next))
+        return false;
+    std::memcpy(&next, rxData(), sizeof(next));
+    return next.type == static_cast<std::uint32_t>(FrameType::kSubmitJob);
 }
 
 std::uint32_t

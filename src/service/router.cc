@@ -311,15 +311,13 @@ Response
 Router::request(std::size_t index, FrameType type)
 {
     Client client;
+    client.setTimeouts(config_.io_timeout_ms);
     Response response;
-    if (!endpoints_[index].connect(client, response.payload)) {
+    if (!endpoints_[index].connect(client, response.payload))
         response.transport_errno = client.lastErrno();
-    } else {
-        if (config_.io_timeout_ms > 0)
-            client.setTimeouts(config_.io_timeout_ms);
+    else
         response = type == FrameType::kStats ? client.stats()
                                              : client.ping();
-    }
     if (response.transport_ok)
         markAlive(index);
     else
@@ -380,6 +378,7 @@ Router::submitBatch(const std::vector<BatchJob> &jobs,
     auto runGroup = [&](std::size_t ep,
                         const std::vector<std::size_t> &group) {
         Client client;
+        client.setTimeouts(config_.io_timeout_ms);
         std::vector<Response> responses(group.size());
         std::string err;
         if (endpoints_[ep].connect(client, err)) {

@@ -13,7 +13,8 @@
  * pool.workers, skipping daemons whose server.draining gauge is up).
  *
  * Failure handling is a per-endpoint health state machine: a refused
- * connect or a mid-exchange transport loss marks the daemon dead and
+ * connect, a mid-exchange transport loss, or a daemon silent through
+ * a liveness PING (RouterConfig::io_timeout_ms) marks it dead and
  * schedules a re-probe after a jittered exponential backoff; until
  * then the ring walks past it. The first job routed to a daemon
  * whose backoff expired doubles as the probe — success revives it,
@@ -99,11 +100,13 @@ struct RouterConfig
     std::uint64_t backoff_cap_ms = 2000;
 
     /**
-     * SO_RCVTIMEO/SO_SNDTIMEO on control connections (PING probes,
-     * STATS reads) so a hung daemon becomes a transport failure
-     * there, not a stalled client (0 = none). Connections that
-     * carry jobs get no timeout: a job's answer is awaited for as
-     * long as the job runs.
+     * Client::setTimeouts() on every connection (0 = none). A PING
+     * probe or STATS read fails after this long without a byte. A
+     * connection that carries jobs sends a PING on itself instead,
+     * then one on a fresh connection after a second silent timeout,
+     * and fails only if that goes unanswered too. So a long job is
+     * awaited while a hung daemon becomes a transport failure: it is
+     * marked dead and its jobs fail over.
      */
     std::uint64_t io_timeout_ms = 10000;
 

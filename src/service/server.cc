@@ -341,8 +341,8 @@ Server::start(std::string &err)
     // STATS doubles as the fleet health/load probe: routers read
     // pool.queue_depth / pool.active_workers / pool.workers for
     // least-loaded placement and skip daemons whose server.draining
-    // gauge flipped (a SIGTERMed daemon sheds load before its
-    // listeners disappear).
+    // gauge flipped (a draining daemon refuses new connections, but
+    // answers STATS on the ones it already holds).
     metrics_.gauge("server.draining").set(0);
     metrics_.gauge("server.max_streams").set(config_.max_streams);
     // Pre-register the streaming gauges so a metrics snapshot shows
@@ -388,6 +388,15 @@ Server::stop()
 
     if (accept_thread_.joinable())
         accept_thread_.join();
+    // Refuse new connections at once: a listener left open through
+    // the drain would let the kernel complete connects into its
+    // backlog that nobody serves or refuses.
+    if (unix_fd_ >= 0)
+        ::close(unix_fd_);
+    if (tcp_fd_ >= 0)
+        ::close(tcp_fd_);
+    if (!config_.unix_path.empty())
+        ::unlink(config_.unix_path.c_str());
 
     // Abort live streaming sessions; each engine unwinds through the
     // simulator's cancellation path and posts an error final to its
@@ -435,13 +444,6 @@ Server::stop()
         metrics_thread_.join();
     if (!config_.metrics_dump.empty())
         metrics_.dumpToFile(config_.metrics_dump);
-
-    if (unix_fd_ >= 0)
-        ::close(unix_fd_);
-    if (tcp_fd_ >= 0)
-        ::close(tcp_fd_);
-    if (!config_.unix_path.empty())
-        ::unlink(config_.unix_path.c_str());
 }
 
 void

@@ -1,6 +1,7 @@
 #!/bin/sh
 # Fleet failover under daemon death: a three-daemon fleet serves a
-# sweep while one daemon is SIGKILLed mid-flight and later restarted.
+# sweep while one daemon is SIGKILLed mid-flight and later restarted,
+# and then again while one daemon is SIGSTOPped (hung, not dead).
 # Every job must still complete exactly once (ok count = job count,
 # no errors, exit 0), and the hdrd-report-cluster-v1 aggregate must
 # be byte-identical to a single-daemon golden across three
@@ -116,6 +117,23 @@ grep -q "rerouted=" fleet_ft/kill.sum
 # merge of one file reproduces it.
 "$CLIENT" --merge --out=fleet_ft/remerge.json fleet_ft/kill.json
 cmp fleet_ft/remerge.json fleet_ft/golden.json
+
+# Hang run: SIGSTOP daemon B, which owns all ten ping_pong jobs. A
+# stopped daemon still completes connects into its listen backlog,
+# so only silence gives it away: after one 10 s I/O timeout the
+# client PINGs on the job's connection, after a second on a fresh
+# one, and after a third it fails the jobs over. The sweep must
+# finish, lose nothing, and match the golden; `timeout` turns a
+# client that waits forever into a failure.
+kill -STOP $B
+STOP_STATUS=0
+timeout 120 "$CLIENT" \
+    --daemons=fleet_ft/a.sock,fleet_ft/b.sock,fleet_ft/c.sock \
+    --omit-timing --repeat=$REPEAT --summary --out=fleet_ft/stop.json \
+    $TRACES > fleet_ft/stop.sum || STOP_STATUS=$?
+kill -CONT $B
+[ "$STOP_STATUS" -eq 0 ]
+check_run fleet_ft/stop.sum fleet_ft/stop.json
 
 kill -TERM $A $B $C
 wait $A $B $C

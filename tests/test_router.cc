@@ -2,13 +2,17 @@
  * @file
  * Unit tests for the fleet layer: endpoint parsing, consistent-hash
  * placement, STATS load scoring, the BUSY retry hint, cluster
- * report/metrics merging, and live failover and long jobs against
+ * report/metrics merging, and live failover, long jobs, pipeline
+ * windows at and above the daemon's cap, and a hung daemon against
  * in-process daemons.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cerrno>
+#include <chrono>
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <random>
@@ -16,6 +20,10 @@
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
 
 #include "runtime/program.hh"
 #include "service/client.hh"
@@ -608,6 +616,146 @@ TEST(RouterLive, JobLongerThanTheIoTimeoutIsAwaited)
     EXPECT_EQ(batch[0].status, SubmitStatus::kOk) << batch[0].payload;
     EXPECT_TRUE(router.alive(0));
 
+    server.stop();
+}
+
+TEST(RouterLive, FullPipelineWindowOfLongJobsIsAwaited)
+{
+    // The window equals the daemon's --max-pipeline and every job
+    // outlasts the I/O timeout: the liveness PING sits behind a full
+    // window and must still be answered, or a healthy daemon fails.
+    const std::string sock =
+        std::string(::testing::TempDir()) + "hdrd_rt_window.sock";
+    ServerConfig server_config;
+    server_config.unix_path = sock;
+    server_config.workers = 2;
+    server_config.max_pipeline = 2;
+    server_config.min_job_ms = 400;
+    Server server(std::move(server_config));
+    std::string err;
+    ASSERT_TRUE(server.start(err)) << err;
+
+    const std::string image = traceBytes(tinyTrace(), "window");
+    JobOptions options;
+    options.flags = kJobOmitHostTiming;
+    RouterConfig config;
+    config.io_timeout_ms = 100;
+    config.max_attempts = 1;
+    Router router({ep(sock)}, config);
+
+    std::vector<Router::BatchJob> jobs(4, {"k", options, &image});
+    for (const SubmitResult &r : router.submitBatch(jobs, 2))
+        EXPECT_EQ(r.status, SubmitStatus::kOk) << r.payload;
+    EXPECT_TRUE(router.alive(0));
+    // The PING on the job's own connection was answered: no PING on
+    // a fresh connection had to vouch for the daemon.
+    EXPECT_EQ(
+        server.metrics().counter("server.connections_accepted").value(),
+        1u);
+    server.stop();
+}
+
+TEST(RouterLive, WindowAboveThePipelineCapIsAwaited)
+{
+    // A window above --max-pipeline parks the third job's header,
+    // and the liveness PING behind it, until a job finishes. Jobs
+    // outlast two I/O timeouts, so the PING on the job's connection
+    // goes unanswered; the PING on a fresh connection is answered,
+    // and the healthy daemon is awaited.
+    const std::string sock =
+        std::string(::testing::TempDir()) + "hdrd_rt_over.sock";
+    ServerConfig server_config;
+    server_config.unix_path = sock;
+    server_config.workers = 2;
+    server_config.max_pipeline = 2;
+    server_config.min_job_ms = 400;
+    Server server(std::move(server_config));
+    std::string err;
+    ASSERT_TRUE(server.start(err)) << err;
+
+    const std::string image = traceBytes(tinyTrace(), "over");
+    JobOptions options;
+    options.flags = kJobOmitHostTiming;
+    RouterConfig config;
+    config.io_timeout_ms = 100;
+    config.max_attempts = 1;
+    Router router({ep(sock)}, config);
+
+    std::vector<Router::BatchJob> jobs(4, {"k", options, &image});
+    for (const SubmitResult &r : router.submitBatch(jobs, 3))
+        EXPECT_EQ(r.status, SubmitStatus::kOk) << r.payload;
+    EXPECT_TRUE(router.alive(0));
+    server.stop();
+}
+
+TEST(RouterLive, HungDaemonFailsOverAfterAnUnansweredPing)
+{
+    // A listener that never accepts is a stopped daemon as a client
+    // sees it: connects complete into the backlog, writes land in
+    // the socket buffer, and nothing answers. Its jobs must fail over
+    // once a PING on the job's connection and one on a fresh
+    // connection go unanswered, not wait forever.
+    const std::string dir(::testing::TempDir());
+    const std::string live_sock = dir + "hdrd_rt_hung_live.sock";
+    const std::string hung_sock = dir + "hdrd_rt_hung_stuck.sock";
+    ServerConfig server_config;
+    server_config.unix_path = live_sock;
+    server_config.workers = 2;
+    Server server(std::move(server_config));
+    std::string err;
+    ASSERT_TRUE(server.start(err)) << err;
+
+    const int stuck = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    ASSERT_GE(stuck, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, hung_sock.c_str(),
+                 sizeof(addr.sun_path) - 1);
+    ::unlink(hung_sock.c_str());
+    ASSERT_EQ(::bind(stuck, reinterpret_cast<sockaddr *>(&addr),
+                     sizeof(addr)),
+              0);
+    ASSERT_EQ(::listen(stuck, 64), 0);
+
+    RouterConfig config;
+    config.io_timeout_ms = 100;
+    Router router({ep(live_sock), ep(hung_sock)}, config);
+    const std::size_t hung = 1;
+
+    // Twelve jobs, six of them placed on the hung daemon.
+    const std::string image = traceBytes(tinyTrace(), "hung");
+    JobOptions options;
+    options.flags = kJobOmitHostTiming;
+    std::vector<Router::BatchJob> jobs;
+    std::size_t on_hung = 0;
+    for (int i = 0; jobs.size() < 12; ++i) {
+        const std::string key = "k" + std::to_string(i);
+        const bool placed_hung =
+            router.placeStatic(key) == static_cast<int>(hung);
+        if (placed_hung ? on_hung == 6 : jobs.size() - on_hung == 6)
+            continue;
+        on_hung += placed_hung ? 1 : 0;
+        jobs.push_back({key, options, &image});
+    }
+
+    const auto start = std::chrono::steady_clock::now();
+    const std::vector<SubmitResult> results =
+        router.submitBatch(jobs, 4);
+    EXPECT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::seconds(2));
+    ASSERT_EQ(results.size(), jobs.size());
+    for (const SubmitResult &r : results) {
+        EXPECT_EQ(r.status, SubmitStatus::kOk) << r.payload;
+        EXPECT_EQ(r.endpoint, 0);
+        EXPECT_EQ(r.payload, results[0].payload);  // pure jobs
+    }
+    EXPECT_FALSE(router.alive(hung));
+    EXPECT_TRUE(router.alive(0));
+    EXPECT_EQ(router.request(hung, FrameType::kPing).transport_errno,
+              ETIMEDOUT);
+
+    ::close(stuck);
+    ::unlink(hung_sock.c_str());
     server.stop();
 }
 

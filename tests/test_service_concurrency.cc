@@ -3,7 +3,9 @@
  * Concurrency tests for the epoll service plane: slow-loris partial
  * writes must not stall other clients, pipelined jobs interleave
  * correctly on one socket, mid-job disconnects leave the daemon
- * healthy, BUSY storms recover, and nothing leaks file descriptors.
+ * healthy, BUSY storms recover, nothing leaks file descriptors, a
+ * PING behind a full pipeline is answered, and a draining daemon
+ * refuses new connections at once.
  */
 
 #include <gtest/gtest.h>
@@ -489,4 +491,115 @@ TEST(ServiceConcurrency, NoFdLeaksAcrossConnectionChurn)
     // Give the kernel a beat, then demand every descriptor back.
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
     EXPECT_EQ(countOpenFds(), before);
+}
+
+TEST(ServiceConcurrency, PingAtThePipelineCapIsAnswered)
+{
+    // A connection at --max-pipeline stops reading its next job, not
+    // a PING behind the full window: a client tells a long job from
+    // a hung daemon that way. A job past the cap still waits, and so
+    // does a PING sent behind it.
+    ServerConfig config;
+    config.unix_path = sockPath("pingcap");
+    config.workers = 3;
+    config.max_pipeline = 2;
+    config.min_job_ms = 400;
+    Server server(std::move(config));
+    std::string err;
+    ASSERT_TRUE(server.start(err)) << err;
+
+    const std::string image = traceImage("pingcap", 8);
+    const int fd = rawConnect(sockPath("pingcap"));
+    ASSERT_GE(fd, 0);
+    const std::string frames = submitFrameBytes(quietOptions(), image, 1)
+        + submitFrameBytes(quietOptions(), image, 2);
+    ASSERT_TRUE(writeAllFd(fd, frames.data(), frames.size()));
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    const auto sent = std::chrono::steady_clock::now();
+    ASSERT_TRUE(writeFrame(fd, FrameType::kPing, ""));
+
+    FrameHeader header;
+    std::string payload;
+    ASSERT_TRUE(readFrameHeader(fd, header, err)) << err;
+    ASSERT_TRUE(readPayload(fd, header.length, payload));
+    EXPECT_EQ(header.type, static_cast<std::uint32_t>(FrameType::kPong))
+        << "the PING waited behind the jobs: " << payload;
+    EXPECT_LT(std::chrono::steady_clock::now() - sent,
+              std::chrono::milliseconds(200));
+
+    // A third job, then a PING behind it: the job is held back while
+    // the first two run (a third worker stands idle), and the PING
+    // with it.
+    const std::string third = submitFrameBytes(quietOptions(), image, 3);
+    ASSERT_TRUE(writeAllFd(fd, third.data(), third.size()));
+    ASSERT_TRUE(writeFrame(fd, FrameType::kPing, ""));
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    Client observer;
+    ASSERT_TRUE(observer.connectUnix(sockPath("pingcap"), err)) << err;
+    const Response stats = observer.stats();
+    ASSERT_TRUE(stats.transport_ok);
+    EXPECT_NE(stats.payload.find("\"server.jobs_accepted\": 2"),
+              std::string::npos)
+        << stats.payload;
+
+    std::vector<std::uint64_t> reports_before_pong;
+    for (;;) {
+        ASSERT_TRUE(readFrameHeader(fd, header, err)) << err;
+        ASSERT_TRUE(readPayload(fd, header.length, payload));
+        if (header.type == static_cast<std::uint32_t>(FrameType::kPong))
+            break;
+        std::uint64_t id = 0;
+        std::string json;
+        ASSERT_EQ(header.type,
+                  static_cast<std::uint32_t>(FrameType::kJobReport))
+            << payload;
+        ASSERT_TRUE(splitJobPayload(payload, id, json));
+        reports_before_pong.push_back(id);
+    }
+    ASSERT_FALSE(reports_before_pong.empty())
+        << "the PING behind the held-back job was answered at once";
+    for (const std::uint64_t id : reports_before_pong)
+        EXPECT_NE(id, 3u) << "the PING waited for the third job";
+    ::close(fd);
+    server.stop();
+}
+
+TEST(ServiceConcurrency, DrainRefusesNewConnectionsAtOnce)
+{
+    // A draining daemon closes its listener as soon as the acceptor
+    // stops, so a fresh connect fails fast instead of waiting in a
+    // backlog nobody serves; the job in flight still gets its report.
+    ServerConfig config;
+    config.unix_path = sockPath("drain");
+    config.workers = 1;
+    config.min_job_ms = 600;
+    Server server(std::move(config));
+    std::string err;
+    ASSERT_TRUE(server.start(err)) << err;
+    const std::string path = sockPath("drain");
+    const std::string image = traceImage("drain", 9);
+
+    Client client;
+    ASSERT_TRUE(client.connectUnix(path, err)) << err;
+    Response report;
+    std::thread submitter(
+        [&] { report = client.submit(quietOptions(), image); });
+    // Let the job reach its worker, then drain.
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    const auto stopped = std::chrono::steady_clock::now();
+    std::thread stopper([&] { server.stop(); });
+    bool refused = false;
+    while (!refused
+           && std::chrono::steady_clock::now() - stopped
+               < std::chrono::milliseconds(100)) {
+        Client fresh;
+        std::string connect_err;
+        refused = !fresh.connectUnix(path, connect_err);
+        if (!refused)
+            std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    EXPECT_TRUE(refused) << "a draining daemon still takes connects";
+    submitter.join();
+    stopper.join();
+    EXPECT_TRUE(report.isReport()) << report.payload;
 }

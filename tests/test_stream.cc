@@ -8,8 +8,9 @@
  * byte-identical to SUBMIT_JOB reports, exactly one reply per
  * SUBMIT_JOB, ATTACH fanout (including an ATTACH racing the final),
  * client-kill session recovery with gauges settling back to zero,
- * and wire-level edge cases: credit overrun, data for an unknown id,
- * a duplicate SUBMIT_END, and a frame cut mid-payload.
+ * a source slower than the client's I/O timeout, and wire-level
+ * edge cases: credit overrun, data for an unknown id, a duplicate
+ * SUBMIT_END, and a frame cut mid-payload.
  */
 
 #include <gtest/gtest.h>
@@ -480,6 +481,42 @@ TEST(ServerStream, StreamedFinalMatchesBufferedByteForByte)
     // The registry retires the session; gauges settle to zero.
     EXPECT_TRUE(awaitGauge(buffered, "stream.active_sessions", 0));
     EXPECT_TRUE(awaitGauge(buffered, "stream.buffered_bytes", 0));
+}
+
+TEST(ServerStream, SlowSourceIsNotSilence)
+{
+    // A producer slower than the I/O timeout (stdin fed by a slow
+    // pipe) is the client's own wait, not the daemon's silence.
+    TestServer ts("slow");
+    const std::string image = traceImage(racyTrace(400), "slow");
+    const std::size_t third = (image.size() + 2) / 3;
+    std::size_t pos = 0;
+    const StreamSource source = [&](char *dst, std::size_t max) {
+        const std::size_t n =
+            std::min({third, max, image.size() - pos});
+        if (n > 0)
+            std::this_thread::sleep_for(300ms);
+        std::memcpy(dst, image.data() + pos, n);
+        pos += n;
+        return n;
+    };
+
+    JobOptions options;
+    options.flags = kJobOmitHostTiming;
+    Client client;
+    std::string err;
+    ASSERT_TRUE(client.connectUnix(ts.path, err)) << err;
+    client.setTimeouts(100);
+    const Response streamed =
+        client.submitStream(options, "slow", source);
+    EXPECT_TRUE(streamed.isReport())
+        << streamed.payload << " errno " << streamed.transport_errno;
+    EXPECT_EQ(pos, image.size());
+    // No PING on a fresh connection had to vouch for the daemon.
+    EXPECT_EQ(ts.server->metrics()
+                  .counter("server.connections_accepted")
+                  .value(),
+              1u);
 }
 
 TEST(ServerStream, FollowerTailsPartialsAndFinal)

@@ -512,8 +512,9 @@ finish(const Options &opt, const std::vector<Result> &results,
 }
 
 /**
- * Connect @p client to the one daemon --stream and --follow talk to;
- * a failed connect is reported against @p file.
+ * Connect @p client to the one daemon --stream and --follow talk to,
+ * with the router's liveness timeout; a failed connect is reported
+ * against @p file.
  */
 bool
 connectSole(const Options &opt, const char *flag,
@@ -522,6 +523,7 @@ connectSole(const Options &opt, const char *flag,
     if (opt.endpoints.size() != 1)
         fatal(flag, " needs exactly one daemon, got ",
               opt.endpoints.size());
+    client.setTimeouts(service::RouterConfig{}.io_timeout_ms);
     std::string err;
     if (opt.endpoints[0].connect(client, err))
         return true;
