@@ -29,22 +29,14 @@ constexpr std::int64_t kGaugeFlush = 64 * 1024;
 } // namespace
 
 std::size_t
-StreamSession::BufSource::read(char *dst, std::size_t n)
+StreamSession::FeedSource::read(char *dst, std::size_t n)
 {
-    StreamSession &s = session_;
-    n = std::min(n, s.buf_.size() - s.buf_pos_);
+    n = std::min(n, left_);
     if (n == 0)
         return 0;
-    std::memcpy(dst, s.buf_.data() + s.buf_pos_, n);
-    s.buf_pos_ += n;
-    if (s.buf_pos_ == s.buf_.size()) {
-        s.buf_.clear();
-        s.buf_pos_ = 0;
-    } else if (s.buf_pos_ >= 256 * 1024
-               && s.buf_pos_ >= s.buf_.size() / 2) {
-        s.buf_.erase(0, s.buf_pos_);
-        s.buf_pos_ = 0;
-    }
+    std::memcpy(dst, data_, n);
+    data_ += n;
+    left_ -= n;
     consumed_ += n;
     return n;
 }
@@ -78,28 +70,31 @@ class StreamSession::EngineBody : public runtime::ThreadBody
 
 /**
  * The session's face to the simulator once its input is complete:
- * each thread's queue replays in place, with no lock, and pure, so
- * the simulator fetches ahead.
+ * each thread's queue replays in place, block by block with a plain
+ * pointer, with no lock, and pure, so the simulator fetches ahead.
  */
 class StreamSession::ReplayBody : public runtime::ThreadBody
 {
   public:
-    explicit ReplayBody(const std::deque<runtime::Op> &ops)
-        : next_(ops.begin()), end_(ops.end())
-    {
-    }
+    explicit ReplayBody(const OpQueue &ops) : block_(ops.front()) {}
 
     bool next(runtime::Op &op) override
     {
-        if (next_ == end_)
-            return false;
+        while (next_ == end_) {
+            if (block_ == nullptr)
+                return false;
+            next_ = block_->ops.data() + block_->read;
+            end_ = block_->ops.data() + block_->written;
+            block_ = block_->next.get();
+        }
         op = *next_++;
         return true;
     }
 
   private:
-    std::deque<runtime::Op>::const_iterator next_;
-    std::deque<runtime::Op>::const_iterator end_;
+    const OpQueue::Block *block_;
+    const runtime::Op *next_ = nullptr;
+    const runtime::Op *end_ = nullptr;
 };
 
 class StreamSession::EngineProgram : public runtime::Program
@@ -196,13 +191,17 @@ StreamSession::feed(const char *data, std::size_t len,
             return false;
         }
         received_ += len;
-        buf_.append(data, len);
         if (stream_metrics_ != nullptr) {
             net_gauge_ += static_cast<std::int64_t>(len);
             stream_metrics_->gauge("stream.buffered_bytes")
                 .add(static_cast<std::int64_t>(len));
         }
+        source_.offer(data, len);
         drainLocked();
+        const std::size_t unread = source_.withdraw();
+        hdrdAssert(unread == 0 || failed_ || reader_.done(),
+                   "trace reader left bytes unread mid-trace");
+        trailing_ += unread;
         grant = maybeGrantLocked();
         cv_.notify_all();
     }
@@ -285,7 +284,7 @@ StreamSession::drainLocked()
             rejectLocked("trace carries unusable fault spec: " + err);
             return;
         }
-        queues_.resize(nthreads_);
+        queues_ = std::vector<OpQueue>(nthreads_);
         header_ready_ = true;
         cv_.notify_all();
     }
@@ -294,7 +293,7 @@ StreamSession::drainLocked()
     while (!reader_.done()) {
         const std::size_t got = reader_.next(batch, kBatch);
         for (std::size_t i = 0; i < got; ++i)
-            queues_[batch[i].tid].push_back(batch[i].toOp());
+            queues_[batch[i].tid].push(batch[i].toOp());
         if (!reader_.error().empty()) {
             rejectLocked("trace rejected: " + reader_.error());
             return;
@@ -304,9 +303,8 @@ StreamSession::drainLocked()
     }
 
     if (reader_.done() && ended_ && !input_done_) {
-        const std::size_t leftover = buf_.size() - buf_pos_;
-        if (leftover > 0) {
-            rejectLocked(std::to_string(leftover)
+        if (trailing_ > 0) {
+            rejectLocked(std::to_string(trailing_)
                          + " bytes of trailing garbage after "
                          + std::to_string(reader_.recordCount())
                          + " records");
@@ -384,10 +382,9 @@ StreamSession::popOp(ThreadId tid, runtime::Op &op)
     for (;;) {
         if (cancel_.load(std::memory_order_relaxed))
             return false;
-        std::deque<runtime::Op> &queue = queues_[tid];
+        OpQueue &queue = queues_[tid];
         if (!queue.empty()) {
-            op = queue.front();
-            queue.pop_front();
+            op = queue.pop();
             noteConsumedLocked(sizeof(trace::TraceRecord));
             const std::uint64_t grant = maybeGrantLocked();
             lock.unlock();

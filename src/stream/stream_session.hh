@@ -6,21 +6,24 @@
  * A StreamSession takes raw TRC2 bytes as they arrive (feed()),
  * parses them incrementally with the resumable trace::TraceReader
  * into per-thread operation queues, and runs the Simulator over them
- * (run()). Both submit kinds are sessions:
+ * (run()). The reader decodes each fed chunk in place, with no
+ * staging copy, and each thread's queue is a FIFO of fixed-size op
+ * blocks. Both submit kinds are sessions:
  *
  *  - A SUBMIT_JOB frame is a session with a declared size. The
  *    connection feeds it the frame's trace bytes and end(), then a
  *    worker-pool thread calls run() with that worker's reused engine.
  *    The input is complete when run() starts, so the engine replays
- *    the per-thread queues in place: no lock per op, and the
- *    simulator's fetch-ahead prefetch stays on.
+ *    the per-thread queues in place, walking each thread's blocks
+ *    with a plain pointer: no lock per op, and the simulator's
+ *    fetch-ahead prefetch stays on.
  *  - A SUBMIT_STREAM is start()ed: it grants CREDIT, and its own
  *    engine thread calls run() while the upload continues, so a slow
  *    uploader never holds a pool worker. Thread bodies block inside
  *    next() until ingestion catches up, and nextIsPure() == false
  *    keeps the simulator from fetching ahead into a body that may
  *    block. The resident footprint is bounded by the credit window
- *    instead of the trace length.
+ *    instead of the trace length: a block is freed once drained.
  *
  * Flow control (started sessions) is cumulative byte credit: the
  * client may have sent at most `granted` bytes in total, and the
@@ -53,14 +56,16 @@
 #ifndef HDRD_STREAM_STREAM_SESSION_HH
 #define HDRD_STREAM_STREAM_SESSION_HH
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/types.hh"
@@ -215,23 +220,106 @@ class StreamSession
     std::uint64_t grantedBytes();
 
   private:
-    /** trace::ByteSource over buf_; only used under mutex_. */
-    class BufSource : public trace::ByteSource
+    /**
+     * trace::ByteSource over the bytes of the feed() in progress, so
+     * the reader decodes them where the caller holds them; only used
+     * under mutex_.
+     */
+    class FeedSource : public trace::ByteSource
     {
       public:
-        explicit BufSource(StreamSession &session)
-            : session_(session)
+        std::size_t read(char *dst, std::size_t n) override;
+
+        /** Serve @p len bytes at @p data until withdraw(). */
+        void offer(const char *data, std::size_t len)
         {
+            data_ = data;
+            left_ = len;
         }
 
-        std::size_t read(char *dst, std::size_t n) override;
+        /** Stop serving. @return how many offered bytes went unread */
+        std::size_t withdraw()
+        {
+            const std::size_t left = left_;
+            offer(nullptr, 0);
+            return left;
+        }
 
         /** Bytes handed to the reader so far. */
         std::uint64_t consumed() const { return consumed_; }
 
       private:
-        StreamSession &session_;
+        const char *data_ = nullptr;
+        std::size_t left_ = 0;
         std::uint64_t consumed_ = 0;
+    };
+
+    /**
+     * One thread's parsed-but-unexecuted operations: a FIFO of
+     * fixed-size blocks. push() appends to the last block and pop()
+     * frees a block once it is drained, so a stream's memory follows
+     * its credit window with under a block of slack at either end of
+     * a thread's queue; an empty queue allocates nothing.
+     */
+    class OpQueue
+    {
+      public:
+        /** Operations per block (32 KiB). */
+        static constexpr std::uint32_t kBlockOps = 1024;
+
+        struct Block
+        {
+            std::array<runtime::Op, kBlockOps> ops;
+
+            /** Slots popped ([0, read)) and pushed ([0, written)). */
+            std::uint32_t read = 0;
+            std::uint32_t written = 0;
+
+            std::unique_ptr<Block> next;
+        };
+
+        /** Frees the chain one block at a time (no recursion). */
+        ~OpQueue()
+        {
+            while (head_ != nullptr)
+                head_ = std::move(head_->next);
+        }
+
+        bool empty() const
+        {
+            return head_ == nullptr || head_->read == head_->written;
+        }
+
+        void push(const runtime::Op &op)
+        {
+            if (tail_ == nullptr || tail_->written == kBlockOps) {
+                auto block = std::make_unique<Block>();
+                Block *const last = block.get();
+                (tail_ == nullptr ? head_ : tail_->next) =
+                    std::move(block);
+                tail_ = last;
+            }
+            tail_->ops[tail_->written++] = op;
+        }
+
+        /** Take the oldest operation; the queue must not be empty. */
+        runtime::Op pop()
+        {
+            const runtime::Op op = head_->ops[head_->read++];
+            if (head_->read == kBlockOps) {
+                head_ = std::move(head_->next);
+                if (head_ == nullptr)
+                    tail_ = nullptr;
+            }
+            return op;
+        }
+
+        /** The oldest block, for an in-place walk (nullptr: empty). */
+        const Block *front() const { return head_.get(); }
+
+      private:
+        std::unique_ptr<Block> head_;
+        Block *tail_ = nullptr;
     };
 
     class EngineProgram;
@@ -241,7 +329,7 @@ class StreamSession
     /** Engine-side blocking pop of thread @p tid's next operation. */
     bool popOp(ThreadId tid, runtime::Op &op);
 
-    /** Pump the reader over buffered bytes; mutex_ held. */
+    /** Pump the reader over the offered bytes; mutex_ held. */
     void drainLocked();
 
     /** Refuse the trace (counted) and fail; mutex_ held. */
@@ -268,18 +356,18 @@ class StreamSession
     std::mutex mutex_;
     std::condition_variable cv_;
 
-    /** Raw received-but-unparsed bytes (consumed from the front). */
-    std::string buf_;
-    std::size_t buf_pos_ = 0;
-
-    BufSource source_{*this};
+    FeedSource source_;
     trace::TraceReader reader_{source_, config_.trace_bytes, true};
 
     /**
-     * Parsed-but-unexecuted operations, per thread. A deque, so a
-     * stream's memory follows its credit window as ops are consumed.
+     * Bytes fed after the reader took its last record: the reader
+     * takes every byte offered until it is done or has failed, so
+     * these are trailing garbage, which end() refuses.
      */
-    std::vector<std::deque<runtime::Op>> queues_;
+    std::uint64_t trailing_ = 0;
+
+    /** Parsed-but-unexecuted operations, per thread. */
+    std::vector<OpQueue> queues_;
 
     // --- credit accounting (bytes, cumulative) ---
     std::uint64_t received_ = 0;

@@ -85,19 +85,6 @@ TraceReader::TraceReader(ByteSource &source,
 }
 
 bool
-TraceReader::readExact(char *dst, std::size_t n)
-{
-    std::size_t have = 0;
-    while (have < n) {
-        const std::size_t got = source_.read(dst + have, n - have);
-        if (got == 0)
-            return false;
-        have += got;
-    }
-    return true;
-}
-
-bool
 TraceReader::fillStash(std::size_t n)
 {
     hdrdAssert(n <= stash_.size(), "stash overflow");
@@ -212,42 +199,60 @@ TraceReader::next(TraceRecord *out, std::size_t max)
     const std::uint64_t left = record_count_ - consumed_;
     const std::size_t want = static_cast<std::size_t>(
         std::min<std::uint64_t>(max, left));
+    char *const bytes = reinterpret_cast<char *>(out);
     std::size_t produced = 0;
-    for (; produced < want; ++produced) {
-        TraceRecord &record = out[produced];
-        if (streaming_) {
-            if (!fillStash(sizeof(record))) {
-                if (!ended_)
-                    return produced; // stalled mid-record: resume
-                error_ = "truncated at record "
-                    + std::to_string(consumed_) + " of "
-                    + std::to_string(record_count_);
-                return produced;
-            }
-            std::memcpy(&record, stash_.data(), sizeof(record));
+    while (produced < want) {
+        // Land whole records at out[produced, landed), then validate
+        // them where they lie.
+        std::size_t landed = produced;
+        if (stash_len_ > 0) {
+            // A record split across reads: complete it first.
+            if (!fillStash(sizeof(TraceRecord)))
+                return sourceDry(produced);
+            std::memcpy(&out[produced], stash_.data(),
+                        sizeof(TraceRecord));
             stash_len_ = 0;
-        } else if (!readExact(reinterpret_cast<char *>(&record),
-                              sizeof(record))) {
-            error_ = "truncated at record "
-                + std::to_string(consumed_) + " of "
-                + std::to_string(record_count_);
-            return 0;
+            landed = produced + 1;
+        } else {
+            const std::size_t got = source_.read(
+                bytes + produced * sizeof(TraceRecord),
+                (want - produced) * sizeof(TraceRecord));
+            if (got == 0)
+                return sourceDry(produced);
+            landed = produced + got / sizeof(TraceRecord);
+            stash_len_ = got % sizeof(TraceRecord);
+            std::memcpy(stash_.data(),
+                        bytes + landed * sizeof(TraceRecord),
+                        stash_len_);
         }
-        if (record.tid >= nthreads_) {
-            error_ = "record " + std::to_string(consumed_)
-                + " names unknown thread "
-                + std::to_string(record.tid);
-            return streaming_ ? produced : 0;
+        for (; produced < landed; ++produced) {
+            const TraceRecord &record = out[produced];
+            if (record.tid >= nthreads_) {
+                error_ = "record " + std::to_string(consumed_)
+                    + " names unknown thread "
+                    + std::to_string(record.tid);
+                return streaming_ ? produced : 0;
+            }
+            if (record.type > kMaxOpType) {
+                error_ = "record " + std::to_string(consumed_)
+                    + " has invalid op type "
+                    + std::to_string(record.type);
+                return streaming_ ? produced : 0;
+            }
+            ++consumed_;
         }
-        if (record.type > kMaxOpType) {
-            error_ = "record " + std::to_string(consumed_)
-                + " has invalid op type "
-                + std::to_string(record.type);
-            return streaming_ ? produced : 0;
-        }
-        ++consumed_;
     }
     return produced;
+}
+
+std::size_t
+TraceReader::sourceDry(std::size_t produced)
+{
+    if (streaming_ && !ended_)
+        return produced;  // stalled: resume after more bytes arrive
+    error_ = "truncated at record " + std::to_string(consumed_)
+        + " of " + std::to_string(record_count_);
+    return streaming_ ? produced : 0;
 }
 
 TraceData

@@ -114,9 +114,14 @@ class IstreamSource : public ByteSource
  * (file size, or a framed payload length for network streams), call
  * readHeader() — all header-level validation happens here, before a
  * single record byte is consumed — then pull record batches with
- * next() until done(). Any validation failure (bad magic, implausible
- * header, mid-stream truncation, invalid record) poisons the reader
- * with a precise error(); a poisoned reader never yields records.
+ * next() until done(). next() asks the source for a whole batch in
+ * one read, straight into the caller's array, and validates the
+ * records where they land; a partial record at the end of a read
+ * waits in a small stash that the next read completes first (a
+ * short read costs a further read for the rest). Any validation
+ * failure (bad magic, implausible header, mid-stream truncation,
+ * invalid record) poisons the reader with a precise error(); a
+ * poisoned reader never yields records.
  *
  * **Streaming mode** (total size unknown up front — chunked network
  * ingestion): construct with resumable = true. The source returning 0
@@ -131,7 +136,8 @@ class IstreamSource : public ByteSource
  * size-vs-header consistency checks still run from the header;
  * with kUnknownSize they are deferred: a short stream surfaces as
  * truncation at the missing record, trailing garbage is the caller's
- * to detect (bytes left in its buffer after done()).
+ * to detect (the reader never reads past the declared last record,
+ * so it is whatever the source still holds once done()).
  *
  * TraceData::load() is a thin wrapper; hdrd_served uses the reader
  * directly so a bad trace is rejected from its header without
@@ -206,15 +212,20 @@ class TraceReader
     std::uint64_t recordCount() const { return record_count_; }
 
   private:
-    /** Read exactly @p n bytes; false on short read. */
-    bool readExact(char *dst, std::size_t n);
-
     /**
-     * Streaming mode: accumulate until the stash holds @p n bytes.
+     * Accumulate until the stash holds @p n bytes.
      * @return true when the stash is full; false when the source ran
-     *         dry first (a resumable stall, unless endOfStream()).
+     *         dry first (in streaming mode a resumable stall, unless
+     *         endOfStream()).
      */
     bool fillStash(std::size_t n);
+
+    /**
+     * next() found the source dry: a resumable stall in streaming
+     * mode before endOfStream(), else truncation at the next record.
+     * @return what next() answers given @p produced whole records
+     */
+    std::size_t sourceDry(std::size_t produced);
 
     ByteSource &source_;
     std::uint64_t total_bytes_;

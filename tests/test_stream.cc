@@ -1,16 +1,17 @@
 /**
  * @file
  * Tests for the streaming analysis subsystem: StreamSession chunked
- * ingestion (final reports independent of chunk boundaries), partial
- * report byte-stability, credit flow control (including the
- * emergency-grant escape from skewed traces), abort/truncation
- * handling, and the server plane end to end — streamed finals
- * byte-identical to SUBMIT_JOB reports, exactly one reply per
- * SUBMIT_JOB, ATTACH fanout (including an ATTACH racing the final),
- * client-kill session recovery with gauges settling back to zero,
- * a source slower than the client's I/O timeout, and wire-level
- * edge cases: credit overrun, data for an unknown id, a duplicate
- * SUBMIT_END, and a frame cut mid-payload.
+ * ingestion (final reports independent of chunk boundaries, and of
+ * sized vs streamed submission for a job whose op queues span many
+ * blocks), partial report byte-stability, credit flow control
+ * (including the emergency-grant escape from skewed traces),
+ * abort/truncation handling, and the server plane end to end —
+ * streamed finals byte-identical to SUBMIT_JOB reports, exactly one
+ * reply per SUBMIT_JOB, ATTACH fanout (including an ATTACH racing
+ * the final), client-kill session recovery with gauges settling back
+ * to zero, a source slower than the client's I/O timeout, and
+ * wire-level edge cases: credit overrun, data for an unknown id, a
+ * duplicate SUBMIT_END, and a frame cut mid-payload.
  */
 
 #include <gtest/gtest.h>
@@ -30,6 +31,7 @@
 #include <unistd.h>
 
 #include "runtime/op.hh"
+#include "runtime/simulator.hh"
 #include "service/client.hh"
 #include "service/metrics.hh"
 #include "service/protocol.hh"
@@ -283,6 +285,86 @@ TEST(StreamSession, SkewedTraceCompletesViaEmergencyCredit)
     // Gauges settle once the session retires.
     EXPECT_EQ(metrics.gauge("stream.active_sessions").value(), 0);
     EXPECT_EQ(metrics.gauge("stream.buffered_bytes").value(), 0);
+}
+
+TEST(StreamSession, QueuesAcrossBlocksGiveOneReportEveryWay)
+{
+    // 10,000 ops per thread: each thread's queue spans ten 1,024-op
+    // blocks, and a streamed run drains and frees blocks while the
+    // upload continues.
+    const std::string image = traceImage(racyTrace(5000), "blocks");
+
+    // The SUBMIT_JOB path: a sized session, never started, fed in
+    // 64 KiB chunks, then run() on the caller's engine.
+    stream::StreamConfig config =
+        sessionConfig("unit", image.size() + 1024, 0);
+    config.trace_bytes = image.size();
+    runtime::Simulator engine(config.base);
+    stream::StreamSession sized(std::move(config));
+    for (std::size_t sent = 0; sent < image.size();) {
+        const std::size_t n =
+            std::min<std::size_t>(64 * 1024, image.size() - sent);
+        std::string err;
+        ASSERT_TRUE(sized.feed(image.data() + sent, n, err)) << err;
+        sent += n;
+    }
+    sized.end();
+    const stream::StreamFinal buffered = sized.run(engine);
+    ASSERT_TRUE(buffered.ok) << buffered.json;
+    EXPECT_NE(buffered.json.find("\"schema\": \"hdrd-report-v1\""),
+              std::string::npos);
+
+    // Streamed in one piece, in 7-byte pieces, and through a 4 KiB
+    // credit window. The last is the skewed-trace case at this size
+    // (TraceData::save writes thread 0's records first), so it only
+    // completes through emergency grants.
+    Capture whole, tiny, windowed;
+    runStreamed(image, image.size() + 1024, 0, image.size(), whole);
+    runStreamed(image, image.size() + 1024, 0, 7, tiny);
+    service::Metrics metrics;
+    runStreamed(image, 4096, 0, 1024, windowed, &metrics);
+    for (const Capture *run : {&whole, &tiny, &windowed}) {
+        ASSERT_TRUE(run->fired);
+        ASSERT_TRUE(run->ok) << run->final_json;
+        EXPECT_EQ(run->final_json, buffered.json);
+    }
+    EXPECT_GT(metrics.counter("stream.emergency_credits").value(),
+              0u);
+    EXPECT_EQ(metrics.gauge("stream.active_sessions").value(), 0);
+    EXPECT_EQ(metrics.gauge("stream.buffered_bytes").value(), 0);
+}
+
+TEST(StreamSession, TrailingBytesAfterLastRecordRejected)
+{
+    // An open-ended upload learns its length only from the header,
+    // so bytes past the last declared record are refused at end():
+    // whether they arrive in the feed that completes the trace or
+    // in a feed of their own once the reader is done.
+    const std::string image = traceImage(racyTrace(50), "trailing");
+    const std::string junk = "junk!";
+    for (const bool separate : {false, true}) {
+        Capture capture;
+        stream::StreamSession session(
+            sessionConfig("trailing", image.size() + 1024, 0),
+            capture.callbacks());
+        session.start();
+        std::string err;
+        if (separate) {
+            ASSERT_TRUE(session.feed(image.data(), image.size(), err));
+            ASSERT_TRUE(session.feed(junk.data(), junk.size(), err));
+        } else {
+            const std::string both = image + junk;
+            ASSERT_TRUE(session.feed(both.data(), both.size(), err));
+        }
+        session.end();
+        session.joinEngine();
+        ASSERT_TRUE(capture.fired) << separate;
+        EXPECT_FALSE(capture.ok) << separate;
+        EXPECT_NE(capture.final_json.find(
+                      "5 bytes of trailing garbage after 200 records"),
+                  std::string::npos)
+            << capture.final_json;
+    }
 }
 
 TEST(StreamSession, DataAfterEndRejected)

@@ -1,16 +1,21 @@
 /**
  * @file
  * Tests for the trace record/replay subsystem: format round-trips,
- * validation of corrupt inputs, and replay equivalence.
+ * validation of corrupt inputs, the streaming reader (including
+ * bulk reads that carry several records and a partial tail, or a
+ * bad record mid-read), and replay equivalence.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <random>
 #include <sstream>
+#include <vector>
 
 #include "instr/cost_model.hh"
 #include "runtime/simulator.hh"
@@ -659,6 +664,198 @@ TEST(TraceReader, TruncatedHeaderStreamRejected)
               std::string::npos)
         << reader.error();
     std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------
+// Bulk reads: next() takes a whole batch with one source read, so a
+// read can carry several whole records plus a partial tail, and a
+// bad record can sit in the middle of one read.
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+/** In-memory image of @p records varied records over 3 threads. */
+std::string
+bulkImage(std::size_t records)
+{
+    TraceHeader header;
+    header.nthreads = 3;
+    header.record_count = records;
+    std::string image(reinterpret_cast<const char *>(&header),
+                      sizeof(header));
+    for (std::size_t i = 0; i < records; ++i) {
+        const Op op = i % 3 == 0 ? Op::work(i + 1)
+            : i % 3 == 1         ? Op::write(0x1000 + 8 * i, 7)
+                                 : Op::read(0x2000 + 8 * i, 9);
+        const TraceRecord record = TraceRecord::fromOp(
+            static_cast<ThreadId>(i % 3), op);
+        image.append(reinterpret_cast<const char *>(&record),
+                     sizeof(record));
+    }
+    return image;
+}
+
+/** Record @p i of @p image, verbatim. */
+TraceRecord
+imageRecord(const std::string &image, std::size_t i)
+{
+    TraceRecord record;
+    std::memcpy(&record,
+                image.data() + sizeof(TraceHeader)
+                    + i * sizeof(TraceRecord),
+                sizeof(record));
+    return record;
+}
+
+/** ByteSource whose reads return a random 1..200 bytes each. */
+class RandomReadSource : public trace::ByteSource
+{
+  public:
+    RandomReadSource(const std::string &bytes, std::uint32_t seed)
+        : bytes_(bytes), rng_(seed)
+    {
+    }
+
+    std::size_t read(char *dst, std::size_t n) override
+    {
+        n = std::min({n, bytes_.size() - pos_,
+                      static_cast<std::size_t>(len_(rng_))});
+        std::memcpy(dst, bytes_.data() + pos_, n);
+        pos_ += n;
+        return n;
+    }
+
+  private:
+    const std::string &bytes_;
+    std::mt19937 rng_;
+    std::uniform_int_distribution<int> len_{1, 200};
+    std::size_t pos_ = 0;
+};
+
+} // namespace
+
+TEST(TraceReader, BulkBatchesResumeAcrossEveryChunkBoundary)
+{
+    // Batches of 256 over 48 records: each read asks for every
+    // record left, so a cut anywhere leaves whole records plus a
+    // partial tail (or a partial header) to resume from.
+    const std::string image = bulkImage(48);
+    for (std::size_t cut = 1; cut < image.size(); ++cut) {
+        StallSource source(image);
+        TraceReader reader(source, trace::TraceReader::kUnknownSize);
+        source.allow(cut);
+
+        std::vector<TraceRecord> records;
+        TraceRecord batch[256];
+        if (reader.readHeader()) {
+            while (const std::size_t n = reader.next(batch, 256))
+                records.insert(records.end(), batch, batch + n);
+        }
+        ASSERT_TRUE(reader.error().empty())
+            << "cut=" << cut << ": " << reader.error();
+        ASSERT_TRUE(reader.starved()) << "cut=" << cut;
+        const std::size_t whole =
+            cut < sizeof(TraceHeader)
+                ? 0
+                : (cut - sizeof(TraceHeader)) / sizeof(TraceRecord);
+        ASSERT_EQ(records.size(), whole) << "cut=" << cut;
+
+        source.allow(image.size());
+        ASSERT_TRUE(reader.readHeader())
+            << "cut=" << cut << ": " << reader.error();
+        while (const std::size_t n = reader.next(batch, 256))
+            records.insert(records.end(), batch, batch + n);
+        ASSERT_TRUE(reader.done())
+            << "cut=" << cut << ": " << reader.error();
+        ASSERT_EQ(records.size(), 48u) << "cut=" << cut;
+        for (std::size_t i = 0; i < records.size(); ++i) {
+            const TraceRecord want = imageRecord(image, i);
+            ASSERT_EQ(std::memcmp(&records[i], &want, sizeof(want)), 0)
+                << "cut=" << cut << " record " << i;
+        }
+    }
+}
+
+TEST(TraceReader, RandomShortReadsDecodeLikeLoad)
+{
+    const std::string image = bulkImage(1000);
+    const auto path = tmpPath("randomreads");
+    {
+        std::ofstream out(path, std::ios::binary);
+        out.write(image.data(),
+                  static_cast<std::streamsize>(image.size()));
+    }
+    const TraceData whole = TraceData::load(path);
+    ASSERT_TRUE(whole.ok()) << whole.error();
+
+    for (std::uint32_t seed = 1; seed <= 8; ++seed) {
+        RandomReadSource source(image, seed);
+        TraceReader reader(source, image.size());
+        ASSERT_TRUE(reader.readHeader()) << reader.error();
+        const TraceData data = TraceData::fromReader(reader);
+        ASSERT_TRUE(data.ok()) << "seed=" << seed << ": " << data.error();
+        ASSERT_EQ(data.totalOps(), whole.totalOps());
+        for (ThreadId tid = 0; tid < whole.nthreads(); ++tid) {
+            const auto &got = data.threadOps(tid);
+            const auto &want = whole.threadOps(tid);
+            ASSERT_EQ(got.size(), want.size()) << "seed=" << seed;
+            for (std::size_t i = 0; i < want.size(); ++i) {
+                const TraceRecord a = TraceRecord::fromOp(tid, got[i]);
+                const TraceRecord b = TraceRecord::fromOp(tid, want[i]);
+                ASSERT_EQ(std::memcmp(&a, &b, sizeof(a)), 0)
+                    << "seed=" << seed << " tid=" << tid << " op " << i;
+            }
+        }
+    }
+    std::remove(path.c_str());
+}
+
+TEST(TraceReader, BadRecordInsideOneBulkRead)
+{
+    // Record 17 of 40 is bad, and one read delivers all 40: the
+    // streaming reader still yields the 17 before it, the sized
+    // reader yields nothing, and both name record 17.
+    struct Case
+    {
+        const char *what;
+        std::size_t offset;  // of the mangled byte within the record
+        std::uint8_t value;
+        const char *error;
+    };
+    const Case cases[] = {
+        {"tid", offsetof(TraceRecord, tid), 3,
+         "record 17 names unknown thread 3"},
+        {"type", offsetof(TraceRecord, type), kMaxOpType + 1,
+         "record 17 has invalid op type 14"},
+    };
+    for (const Case &c : cases) {
+        std::string image = bulkImage(40);
+        image[sizeof(TraceHeader) + 17 * sizeof(TraceRecord) + c.offset] =
+            static_cast<char>(c.value);
+        TraceRecord batch[256];
+
+        CutSource streamed_source(image, image.size());
+        TraceReader streamed(streamed_source,
+                             trace::TraceReader::kUnknownSize);
+        ASSERT_TRUE(streamed.readHeader()) << streamed.error();
+        EXPECT_EQ(streamed.next(batch, 256), 17u) << c.what;
+        EXPECT_EQ(streamed.error(), c.error);
+        for (std::size_t i = 0; i < 17; ++i) {
+            const TraceRecord want = imageRecord(image, i);
+            EXPECT_EQ(std::memcmp(&batch[i], &want, sizeof(want)), 0)
+                << c.what << " record " << i;
+        }
+        EXPECT_EQ(streamed.next(batch, 256), 0u) << c.what;
+        EXPECT_FALSE(streamed.done());
+
+        CutSource sized_source(image, image.size());
+        TraceReader sized(sized_source, image.size());
+        ASSERT_TRUE(sized.readHeader()) << sized.error();
+        EXPECT_EQ(sized.next(batch, 256), 0u) << c.what;
+        EXPECT_EQ(sized.error(), c.error);
+        EXPECT_FALSE(sized.done());
+    }
 }
 
 TEST(TraceReplay, RecordedRunReplaysIdentically)
