@@ -26,14 +26,23 @@ class Log2Histogram
 {
   public:
     /** Record one sample. */
-    void add(std::uint64_t value)
+    void add(std::uint64_t value) { add(value, 1); }
+
+    /**
+     * Record @p n samples of @p value; the same as @p n single adds
+     * (a histogram does not depend on the order of its samples), and
+     * nothing at all when @p n is 0.
+     */
+    void add(std::uint64_t value, std::uint64_t n)
     {
+        if (n == 0)
+            return;
         const std::size_t idx = bucketIndex(value);
         if (idx >= buckets_.size())
             buckets_.resize(idx + 1, 0);
-        ++buckets_[idx];
-        ++count_;
-        sum_ += value;
+        buckets_[idx] += n;
+        count_ += n;
+        sum_ += value * n;
         min_ = std::min(min_, value);
         max_ = std::max(max_, value);
     }

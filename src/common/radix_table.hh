@@ -101,6 +101,9 @@ class RadixTable
     /** Stale pages revived in place instead of reallocated. */
     std::uint64_t recycledPages() const { return recycled_; }
 
+    /** Pages held in the overflow map, live or awaiting recycling. */
+    std::size_t overflowPages() const { return overflow_.size(); }
+
     /** Drop every page (full reset, storage freed). */
     void clear()
     {

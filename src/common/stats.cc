@@ -52,8 +52,10 @@ StatGroup::formula(const std::string &stat,
 void
 StatGroup::reset()
 {
-    counters_.clear();
-    scalars_.clear();
+    for (auto &entry : counters_)
+        entry.second = 0;
+    for (auto &entry : scalars_)
+        entry.second = 0.0;
 }
 
 void

@@ -41,7 +41,8 @@ class StatGroup
     /**
      * Stable pointer to the counter @p stat's cell, creating it at
      * zero. Hot paths fetch the cell once and bump through it,
-     * skipping the per-event name lookup. Invalidated by reset().
+     * skipping the per-event name lookup. Valid for the group's
+     * lifetime: reset() zeroes cells in place.
      */
     std::uint64_t *counterCell(const std::string &stat);
 
@@ -62,7 +63,10 @@ class StatGroup
     void formula(const std::string &stat,
                  std::function<double(const StatGroup &)> fn);
 
-    /** Reset all counters and scalars to zero; formulas persist. */
+    /**
+     * Reset all counters and scalars to zero, in place (entries and
+     * cells stay); formulas persist.
+     */
     void reset();
 
     /** Write "group.stat value" lines, sorted by stat name. */

@@ -90,6 +90,18 @@ static_assert(sizeof(VarState) == 16,
               "VarState must stay a 16-byte hot record");
 
 /**
+ * log2 of the granules per shadow chunk, for the hot VarState table
+ * and the cold SiteTable alike: 32 granules, i.e. 256 bytes of address
+ * (four simulated lines) at 8-byte granules. Small chunks keep a
+ * sparse job's shadow proportional to what it touches: a job whose
+ * lines lie far apart pays 512 bytes of VarState per touched chunk,
+ * not 8 KiB. The radix directory keeps its 2^20-chunk ceiling (at
+ * most 8 MiB of pointers per table); chunks past it, above 256 MiB
+ * of address at 8-byte granules, go to the overflow map.
+ */
+inline constexpr std::uint32_t kShadowChunkBits = 5;
+
+/**
  * Cold per-granule metadata: the static sites of the last write and
  * last read, needed only to attribute race reports. Packed to two
  * 16-bit slots per granule; the rare site id that does not fit (trace
@@ -187,8 +199,8 @@ class SiteTable
         big[g] = site;
     }
 
-    /** Same chunking as the hot table (see ShadowMemory::kChunkBits). */
-    RadixTable<Packed, 9> table_;
+    /** Same chunking as the hot table (kShadowChunkBits). */
+    RadixTable<Packed, kShadowChunkBits> table_;
 
     /** Exact values behind kBig sentinels, write/read separately. */
     Overflow big_w_;
@@ -279,6 +291,9 @@ class ShadowMemory
         return table_.recycledPages();
     }
 
+    /** Chunks held in the overflow map rather than the directory. */
+    std::size_t overflowChunks() const { return table_.overflowPages(); }
+
     /**
      * Retire every chunk, site entry, and pooled clock. O(1) in the
      * table size: chunk storage and clock capacity stay parked for
@@ -298,12 +313,18 @@ class ShadowMemory
      */
     void prepare(std::uint32_t granule_shift);
 
-  private:
-    /** 512-granule chunks, as before the radix rewrite. */
-    static constexpr std::uint32_t kChunkBits = 9;
+    /** Granules per chunk. */
+    static constexpr std::uint64_t kChunkGranules =
+        std::uint64_t{1} << kShadowChunkBits;
 
+    /** First granule whose chunk lives in the overflow map. */
+    static constexpr std::uint64_t kOverflowGranule =
+        RadixTable<VarState, kShadowChunkBits>::kMaxDirPages
+        << kShadowChunkBits;
+
+  private:
     std::uint32_t granule_shift_;
-    RadixTable<VarState, kChunkBits> table_;
+    RadixTable<VarState, kShadowChunkBits> table_;
     SiteTable sites_;
     ClockPool pool_;
 };

@@ -56,15 +56,23 @@ Cache::Cache(const CacheGeometry &geom, const char *name) : geom_(geom)
         static_cast<std::uint32_t>(std::countr_zero(geom_.line_bytes));
     ways_.resize(sets_ * geom_.assoc);
     tags_.assign(ways_.size(), kInvalidTag);
+    set_gen_.assign(sets_, gen_);
 }
 
 std::vector<std::pair<Addr, Mesi>>
 Cache::residentEntries() const
 {
     std::vector<std::pair<Addr, Mesi>> entries;
-    for (const auto &line : ways_) {
-        if (line.valid())
-            entries.emplace_back(line.tag << line_shift_, line.state);
+    for (std::uint64_t set = 0; set < sets_; ++set) {
+        if (!live(set))
+            continue;
+        const std::size_t base =
+            static_cast<std::size_t>(set) * geom_.assoc;
+        for (std::size_t i = base; i < base + geom_.assoc; ++i) {
+            if (tags_[i] != kInvalidTag)
+                entries.emplace_back(tags_[i] << line_shift_,
+                                     ways_[i].state);
+        }
     }
     return entries;
 }
@@ -73,18 +81,52 @@ std::uint64_t
 Cache::residentLines() const
 {
     std::uint64_t n = 0;
-    for (const auto &line : ways_)
-        if (line.valid())
-            ++n;
+    for (std::uint64_t set = 0; set < sets_; ++set) {
+        if (!live(set))
+            continue;
+        const std::size_t base =
+            static_cast<std::size_t>(set) * geom_.assoc;
+        for (std::size_t i = base; i < base + geom_.assoc; ++i)
+            n += tags_[i] != kInvalidTag;
+    }
     return n;
 }
 
 void
 Cache::flush()
 {
-    for (auto &line : ways_)
-        line.state = Mesi::kInvalid;
-    std::fill(tags_.begin(), tags_.end(), kInvalidTag);
+    ++gen_;
+    lru_tick_ = 0;
+}
+
+void
+Cache::skipLruTicks(std::uint32_t n)
+{
+    lru_tick_ = n > kMaxTick - lru_tick_ ? kMaxTick : lru_tick_ + n;
+}
+
+void
+Cache::renormaliseLru()
+{
+    std::vector<std::uint32_t> order(geom_.assoc);
+    for (std::uint64_t set = 0; set < sets_; ++set) {
+        if (!live(set))
+            continue;
+        const std::size_t base =
+            static_cast<std::size_t>(set) * geom_.assoc;
+        std::uint32_t n = 0;
+        for (std::uint32_t w = 0; w < geom_.assoc; ++w) {
+            if (tags_[base + w] != kInvalidTag)
+                order[n++] = w;
+        }
+        std::sort(order.begin(), order.begin() + n,
+                  [&](std::uint32_t a, std::uint32_t b) {
+                      return ways_[base + a].lru < ways_[base + b].lru;
+                  });
+        for (std::uint32_t rank = 0; rank < n; ++rank)
+            ways_[base + order[rank]].lru = rank + 1;
+    }
+    lru_tick_ = geom_.assoc;
 }
 
 } // namespace hdrd::mem

@@ -39,6 +39,8 @@ struct CacheGeometry
 
     /** Validate invariants (powers of two, capacity >= one set). */
     void validate(const char *what) const;
+
+    bool operator==(const CacheGeometry &) const = default;
 };
 
 /** Result of inserting a line: the victim, if a valid line was evicted. */
@@ -49,10 +51,19 @@ struct Eviction
 
     /** Victim's coherence state at eviction time. */
     Mesi state = Mesi::kInvalid;
+
+    /** Victim's outward slot link (CacheLine::link) at eviction. */
+    std::uint32_t link = 0;
 };
 
 /**
  * Set-associative, true-LRU tag array.
+ *
+ * flush() is O(1): it advances the cache's generation, and a set whose
+ * stamp is older reads as empty everywhere (probe, residentLines,
+ * residentEntries) and is cleared when it is first filled. So a kept
+ * cache pays for clearing only the sets the next run touches, and a
+ * flushed cache then behaves exactly like a freshly built one.
  */
 class Cache
 {
@@ -70,20 +81,20 @@ class Cache
      * @return pointer into the set (stable until next insert), or
      *         nullptr on miss. Does not update LRU.
      *
-     * The scan runs over the packed tag mirror — geom.assoc
+     * The scan runs over the packed tag array — geom.assoc
      * contiguous u64s (one host cache line at 8-way) instead of
-     * strided CacheLine structs — and only dereferences the way
-     * array on a hit.
+     * strided CacheLine structs — and only reads the set's
+     * generation stamp and the way array on a tag match.
      */
     CacheLine *probe(Addr addr)
     {
         const std::uint64_t tag = addr >> line_shift_;
-        const std::size_t base =
-            static_cast<std::size_t>(setIndex(addr)) * geom_.assoc;
+        const std::uint64_t set = setIndex(addr);
+        const std::size_t base = static_cast<std::size_t>(set) * geom_.assoc;
         const std::uint64_t *tags = &tags_[base];
         for (std::uint32_t w = 0; w < geom_.assoc; ++w) {
             if (tags[w] == tag)
-                return &ways_[base + w];
+                return set_gen_[set] == gen_ ? &ways_[base + w] : nullptr;
         }
         return nullptr;
     }
@@ -109,11 +120,11 @@ class Cache
     {
         CacheLine *line = probe(addr);
         hdrdAssert(line != nullptr, "Cache::touch on a missing line");
-        line->lru = ++lru_tick_;
+        touchLine(line);
     }
 
     /** Mark an already-probed line most-recently-used. */
-    void touchLine(CacheLine *line) { line->lru = ++lru_tick_; }
+    void touchLine(CacheLine *line) { line->lru = tick(); }
 
     /**
      * Insert @p addr with state @p state, evicting the LRU victim if
@@ -129,8 +140,8 @@ class Cache
 
     /**
      * insert() that also hands back the just-filled line, so callers
-     * wiring up the L1 -> L2 slot link avoid a re-probe. @p evicted
-     * (optional) receives the victim.
+     * wiring up a slot link avoid a re-probe. @p evicted (optional)
+     * receives the victim.
      */
     CacheLine *insertLine(Addr addr, Mesi state,
                           std::optional<Eviction> *evicted = nullptr)
@@ -138,45 +149,57 @@ class Cache
         hdrdAssert(state != Mesi::kInvalid,
                    "Cache::insert with Invalid state");
         const std::uint64_t tag = addr >> line_shift_;
+        const std::uint64_t set_idx = setIndex(addr);
         const std::size_t base =
-            static_cast<std::size_t>(setIndex(addr)) * geom_.assoc;
+            static_cast<std::size_t>(set_idx) * geom_.assoc;
         CacheLine *set = &ways_[base];
-        const std::uint64_t *tags = &tags_[base];
+        std::uint64_t *tags = &tags_[base];
+        if (set_gen_[set_idx] != gen_) {
+            // First fill since a flush: the set's ways are from an
+            // older generation; clear them here, where the host
+            // already has the set's lines in cache.
+            for (std::uint32_t w = 0; w < geom_.assoc; ++w) {
+                tags[w] = kInvalidTag;
+                set[w].state = Mesi::kInvalid;
+            }
+            set_gen_[set_idx] = gen_;
+        }
 
         // One scan does triple duty: assert the line is absent, find
         // the first empty way, and track the true-LRU victim among
         // the valid ways. Victim choice matches the classic two-pass
         // form: prefer the first empty way, else the lowest-lru line
         // (earliest index on ties, since the compare is strict).
-        CacheLine *empty = nullptr;
-        CacheLine *lru = nullptr;
+        std::uint32_t empty = geom_.assoc;
+        std::uint32_t lru = geom_.assoc;
         for (std::uint32_t w = 0; w < geom_.assoc; ++w) {
             if (tags[w] == kInvalidTag) {
-                if (empty == nullptr)
-                    empty = &set[w];
+                if (empty == geom_.assoc)
+                    empty = w;
                 continue;
             }
             hdrdAssert(tags[w] != tag,
                        "Cache::insert on an already-present line");
-            if (lru == nullptr || set[w].lru < lru->lru)
-                lru = &set[w];
+            if (lru == geom_.assoc || set[w].lru < set[lru].lru)
+                lru = w;
         }
 
-        CacheLine *victim = empty != nullptr ? empty : lru;
-        if (empty == nullptr && evicted != nullptr) {
+        const std::uint32_t w = empty != geom_.assoc ? empty : lru;
+        CacheLine *victim = &set[w];
+        if (empty == geom_.assoc && evicted != nullptr) {
             *evicted = Eviction{
-                .line_addr = victim->tag << line_shift_,
+                .line_addr = tags[w] << line_shift_,
                 .state = victim->state,
+                .link = victim->link,
             };
         }
-        victim->tag = tag;
+        tags[w] = tag;
         victim->state = state;
-        victim->lru = ++lru_tick_;
-        tags_[victim - ways_.data()] = tag;
+        victim->lru = tick();
         return victim;
     }
 
-    /** Way-array slot of an already-probed line (L1/L2 link). */
+    /** Way-array slot of an already-probed line (slot links). */
     std::uint32_t slotOf(const CacheLine *line) const
     {
         return static_cast<std::uint32_t>(line - ways_.data());
@@ -184,6 +207,12 @@ class Cache
 
     /** Line at a slot previously returned by slotOf(). */
     CacheLine *lineAt(std::uint32_t slot) { return &ways_[slot]; }
+
+    /** Line address held by a resident line's slot. */
+    Addr lineAddrAt(std::uint32_t slot) const
+    {
+        return tags_[slot] << line_shift_;
+    }
 
     /** Drop the line holding @p addr, if present. */
     void invalidate(Addr addr)
@@ -194,7 +223,7 @@ class Cache
 
     /**
      * Drop an already-probed line. All invalidation funnels through
-     * here so the packed tag mirror stays in sync with way states.
+     * here so the packed tag array stays in sync with way states.
      */
     void invalidateLine(CacheLine *line)
     {
@@ -211,8 +240,19 @@ class Cache
     /** Geometry this cache was built with. */
     const CacheGeometry &geometry() const { return geom_; }
 
-    /** Remove all lines. */
+    /** Total ways (sets x assoc): the range of slotOf(). */
+    std::size_t slots() const { return ways_.size(); }
+
+    /** Remove all lines, in O(1) (see the class comment). */
     void flush();
+
+    /**
+     * Testing hook: advance the LRU clock by @p n ticks without
+     * touching a line, so a test can cross the 32-bit wrap without
+     * 2^32 accesses. Ticks only move forward, so every resident
+     * stamp stays older than the next one handed out.
+     */
+    void skipLruTicks(std::uint32_t n);
 
   private:
     std::uint64_t setIndex(Addr addr) const
@@ -220,22 +260,49 @@ class Cache
         return (addr >> line_shift_) & (sets_ - 1);
     }
 
+    /** Next LRU stamp, renormalising first when the clock is full. */
+    std::uint32_t tick()
+    {
+        if (lru_tick_ == kMaxTick) [[unlikely]]
+            renormaliseLru();
+        return ++lru_tick_;
+    }
+
+    /**
+     * Rewrite each live set's valid stamps as 1..k in their current
+     * order and restart the clock above them. Victim choice compares
+     * stamps within one set only, so every later victim is unchanged.
+     */
+    void renormaliseLru();
+
+    /** True when @p set's ways belong to the current generation. */
+    bool live(std::uint64_t set) const { return set_gen_[set] == gen_; }
+
     CacheGeometry geom_;
     std::uint64_t sets_;
     std::uint32_t line_shift_;
     std::vector<CacheLine> ways_;  // sets_ * assoc, row-major by set
 
     /**
-     * Packed tag mirror, parallel to ways_: tags_[i] is ways_[i].tag
-     * when the way is valid, kInvalidTag otherwise. probe() scans
-     * this dense array instead of the strided CacheLine structs.
-     * kInvalidTag cannot collide with a real tag: tags carry at most
-     * 64 - line-shift significant bits.
+     * Packed tag array, parallel to ways_ and the only copy of each
+     * tag: tags_[i] is way i's line tag (addr >> line bits) when the
+     * way is valid, kInvalidTag otherwise. probe() scans this dense
+     * array instead of the strided CacheLine structs. kInvalidTag
+     * cannot collide with a real tag: tags carry at most 64 -
+     * line-shift significant bits.
      */
     std::vector<std::uint64_t> tags_;
     static constexpr std::uint64_t kInvalidTag = ~std::uint64_t{0};
 
-    std::uint64_t lru_tick_ = 0;
+    /**
+     * Per-set generation stamps: a set is live when its stamp equals
+     * gen_. 64 bits, so flushes never wrap it.
+     */
+    std::vector<std::uint64_t> set_gen_;
+    std::uint64_t gen_ = 0;
+
+    static constexpr std::uint32_t kMaxTick = ~std::uint32_t{0};
+    std::uint32_t lru_tick_ = 0;
 };
 
 } // namespace hdrd::mem

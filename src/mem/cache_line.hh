@@ -32,29 +32,38 @@ enum class Mesi : std::uint8_t
 /** Printable name for a MESI state. */
 const char *mesiName(Mesi state);
 
-/** One way of a cache set. */
+/**
+ * One way of a cache set. The way's tag lives only in its cache's
+ * packed tag array (Cache::tags_), which the probe scans; the way
+ * itself holds the state a hit reads and updates.
+ */
 struct CacheLine
 {
-    /** Line-granular tag (full line address, i.e. addr >> line bits). */
-    std::uint64_t tag = 0;
-
     /** Coherence state; kInvalid means the way is empty. */
     Mesi state = Mesi::kInvalid;
 
     /**
-     * For L1 lines: way-array slot of the backing L2 line, set at
-     * fill time. Inclusion pins an L1 line's L2 copy in place (the
-     * L2 victim path drops the L1 copy first), so L1 hits follow
-     * this link instead of re-probing the L2 tag array. Unused by
-     * L2/L3 lines. Fits in the struct's padding — no size cost.
+     * Way-array slot of this line's copy one level out, set at fill
+     * time: an L1 line's L2 slot, an L2 line's L3 slot. Inclusion
+     * pins the outer copy in place (an L2 victim drops its L1 copy
+     * first, an L3 victim back-invalidates its private copies), so
+     * L1 hits follow the link instead of re-probing the L2 tags, and
+     * L2 state changes reach the L3's presence bits without an L3
+     * probe. Unused by L3 lines.
      */
-    std::uint32_t l2_slot = 0;
+    std::uint32_t link = 0;
 
-    /** LRU timestamp: larger = more recently used. */
-    std::uint64_t lru = 0;
+    /**
+     * LRU timestamp: larger = more recently used. Only the order
+     * within a set matters; Cache renormalises a set's stamps before
+     * its clock wraps.
+     */
+    std::uint32_t lru = 0;
 
     bool valid() const { return state != Mesi::kInvalid; }
 };
+
+static_assert(sizeof(CacheLine) == 12, "CacheLine must stay 12 bytes");
 
 } // namespace hdrd::mem
 

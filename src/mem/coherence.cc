@@ -14,9 +14,6 @@ PrivateCaches::PrivateCaches(std::uint32_t ncores,
     if (l1.line_bytes != l2.line_bytes)
         fatal("L1/L2 line sizes must match (", l1.line_bytes, " vs ",
               l2.line_bytes, ")");
-    line_shift_ = static_cast<std::uint32_t>(
-        std::countr_zero(l2.line_bytes));
-    dir_enabled_ = ncores <= 32;  // 2 bits per core in one u64
     l1_.reserve(ncores);
     l2_.reserve(ncores);
     for (std::uint32_t c = 0; c < ncores; ++c) {
@@ -55,7 +52,6 @@ PrivateCaches::setState(CoreId core, Addr line_addr, Mesi state)
     l2_line->state = state;
     if (CacheLine *l1_line = l1_[core].probe(line_addr))
         l1_line->state = state;
-    noteState(core, line_addr, state);
 }
 
 void
@@ -95,7 +91,6 @@ PrivateCaches::flushAll()
         cache.flush();
     for (auto &cache : l2_)
         cache.flush();
-    dir_.clear();
 }
 
 } // namespace hdrd::mem

@@ -10,18 +10,19 @@
  *
  * The MESI *protocol* (who may hold what, when HITMs fire) is driven by
  * mem::Hierarchy; this class only answers presence/state questions and
- * performs state changes while preserving inclusion.
+ * performs state changes while preserving inclusion. Which cores hold
+ * a line is recorded by the hierarchy, in its inclusive L3's presence
+ * bits; each L2 line links to its L3 slot so those bits are found
+ * without an L3 probe.
  */
 
 #ifndef HDRD_MEM_COHERENCE_HH
 #define HDRD_MEM_COHERENCE_HH
 
-#include <bit>
 #include <cstdint>
 #include <optional>
 #include <vector>
 
-#include "common/radix_table.hh"
 #include "common/types.hh"
 #include "mem/cache.hh"
 
@@ -36,6 +37,9 @@ struct PrivateInsertResult
 
     /** Line address of the L2 victim, if one was evicted. */
     std::optional<Addr> l2_victim;
+
+    /** The L2 victim's L3 slot link (meaningful with l2_victim). */
+    std::uint32_t l2_victim_l3_slot = 0;
 };
 
 /**
@@ -105,18 +109,22 @@ class PrivateCaches
     {
         CacheLine *l1_line =
             l1_[core].insertLine(line_addr, l2_line->state);
-        l1_line->l2_slot = l2_[core].slotOf(l2_line);
+        l1_line->link = l2_[core].slotOf(l2_line);
     }
 
     /**
-     * The L2 line backing an L1-resident line, via the slot link
-     * recorded at fill time — no L2 tag-array probe. Inclusion keeps
-     * the link valid for as long as the L1 copy exists.
+     * The L2 line backing @p line_addr's L1-resident line, via the
+     * slot link recorded at fill time — no L2 tag-array probe.
+     * Inclusion keeps the link valid for as long as the L1 copy
+     * exists.
      */
-    CacheLine *l2LineOf(CoreId core, const CacheLine *l1_line)
+    CacheLine *l2LineOf(CoreId core, Addr line_addr,
+                        const CacheLine *l1_line)
     {
-        CacheLine *l2_line = l2_[core].lineAt(l1_line->l2_slot);
-        hdrdAssert(l2_line->valid() && l2_line->tag == l1_line->tag,
+        CacheLine *l2_line = l2_[core].lineAt(l1_line->link);
+        hdrdAssert(l2_line->valid()
+                       && l2_[core].lineAddrAt(l1_line->link)
+                           == line_addr,
                    "stale L1 -> L2 slot link");
         return l2_line;
     }
@@ -136,43 +144,32 @@ class PrivateCaches
     {
         l1_[core].invalidate(line_addr);
         l2_[core].invalidate(line_addr);
-        dirSet(core, line_addr, Mesi::kInvalid);
     }
 
     /**
-     * Record a state change made directly on a probed L2 line (the
-     * access fast path upgrades E->M / S->M in place). Every L2
-     * presence/state change must reach the directory, or
-     * snapshotRemote() answers from stale bits.
-     */
-    void noteState(CoreId core, Addr line_addr, Mesi state)
-    {
-        dirSet(core, line_addr, state);
-    }
-
-    /**
-     * Insert @p line_addr into L2 (and L1) of @p core with @p state.
+     * Insert @p line_addr into L2 (and L1) of @p core with @p state,
+     * linking the new L2 line to its L3 copy at @p l3_slot.
      * Maintains inclusion: an L2 victim is also dropped from L1.
      * @pre the line is not already resident in this core's L2.
      */
-    PrivateInsertResult insert(CoreId core, Addr line_addr, Mesi state)
+    PrivateInsertResult insert(CoreId core, Addr line_addr, Mesi state,
+                               std::uint32_t l3_slot = 0)
     {
         PrivateInsertResult result;
         std::optional<Eviction> l2_evict;
         CacheLine *l2_line =
             l2_[core].insertLine(line_addr, state, &l2_evict);
+        l2_line->link = l3_slot;
         if (l2_evict) {
             // Inclusion: the L2 victim must leave L1 as well.
             l1_[core].invalidate(l2_evict->line_addr);
             result.l2_victim = l2_evict->line_addr;
+            result.l2_victim_l3_slot = l2_evict->link;
             result.writeback = l2_evict->state == Mesi::kModified;
         }
         // L1 victims are silent: their authoritative state stays in L2.
         CacheLine *l1_line = l1_[core].insertLine(line_addr, state);
-        l1_line->l2_slot = l2_[core].slotOf(l2_line);
-        if (l2_evict)
-            dirSet(core, l2_evict->line_addr, Mesi::kInvalid);
-        dirSet(core, line_addr, state);
+        l1_line->link = l2_[core].slotOf(l2_line);
         return result;
     }
 
@@ -201,49 +198,11 @@ class PrivateCaches
                                       CoreId except) const;
 
     /**
-     * remoteHolders into a caller-owned buffer (cleared first) so the
-     * per-access path reuses one allocation for the whole run.
-     */
-    void remoteHoldersInto(Addr line_addr, CoreId except,
-                           std::vector<CoreId> &out) const
-    {
-        out.clear();
-        if (dir_enabled_) {
-            // Decode the presence directory: set bits ascend by core
-            // id, matching the sweep's holder order.
-            const std::uint64_t *entry =
-                dir_.peek(line_addr >> line_shift_);
-            if (entry == nullptr)
-                return;
-            std::uint64_t rest = *entry;
-            while (rest != 0) {
-                const auto c = static_cast<CoreId>(
-                    static_cast<std::uint32_t>(std::countr_zero(rest))
-                    >> 1);
-                if (c != except)
-                    out.push_back(c);
-                rest &= ~(std::uint64_t{3} << (c * 2));
-            }
-            return;
-        }
-        for (CoreId c = 0; c < ncores_; ++c) {
-            if (c != except && state(c, line_addr) != Mesi::kInvalid)
-                out.push_back(c);
-        }
-    }
-
-    /**
-     * findOwner + remoteHoldersInto in one query: fills @p holders
-     * with every core (other than @p except) holding a valid copy
-     * and returns the Modified owner, if any.
-     *
-     * With <= 32 cores this reads the packed presence directory — a
-     * single radix lookup decoding 2 MESI bits per core — instead of
-     * probing every core's L2 tag array. Set bits are walked in
-     * ascending position, i.e. ascending core id, so the holder
-     * order and the first-Modified owner match the sweep exactly.
-     * Larger configurations fall back to the sweep.
-     * @pre @p except holds no copy (it just missed in its own L2).
+     * findOwner + remoteHolders in one sweep of every core's L2:
+     * fills @p holders (cleared first) with every core other than
+     * @p except holding a valid copy, in ascending core order, and
+     * returns the first Modified owner, if any. The hierarchy reads
+     * its L3 presence bits instead while it has them (<= 32 cores).
      */
     std::optional<CoreId> snapshotRemote(Addr line_addr, CoreId except,
                                          std::vector<CoreId> &holders)
@@ -251,26 +210,6 @@ class PrivateCaches
     {
         std::optional<CoreId> owner;
         holders.clear();
-        if (dir_enabled_) {
-            const std::uint64_t *entry =
-                dir_.peek(line_addr >> line_shift_);
-            if (entry == nullptr || *entry == 0)
-                return owner;
-            std::uint64_t rest = *entry;
-            while (rest != 0) {
-                const auto c = static_cast<CoreId>(
-                    static_cast<std::uint32_t>(std::countr_zero(rest))
-                    >> 1);
-                const auto st =
-                    static_cast<Mesi>((*entry >> (c * 2)) & 3);
-                if (!owner && st == Mesi::kModified)
-                    owner = c;
-                if (c != except)
-                    holders.push_back(c);
-                rest &= ~(std::uint64_t{3} << (c * 2));
-            }
-            return owner;
-        }
         for (CoreId c = 0; c < ncores_; ++c) {
             const CacheLine *line = l2_[c].probe(line_addr);
             if (line == nullptr)
@@ -295,23 +234,7 @@ class PrivateCaches
             return false;
         l2_[core].invalidateLine(l2_line);
         l1_[core].invalidate(line_addr);
-        dirSet(core, line_addr, Mesi::kInvalid);
         return true;
-    }
-
-    /**
-     * The directory's recorded state for (@p core, @p line_addr) —
-     * invariant-check hook; falls back to the tag array when the
-     * directory is disabled.
-     */
-    Mesi dirState(CoreId core, Addr line_addr) const
-    {
-        if (!dir_enabled_)
-            return state(core, line_addr);
-        const std::uint64_t *entry = dir_.peek(line_addr >> line_shift_);
-        if (entry == nullptr)
-            return Mesi::kInvalid;
-        return static_cast<Mesi>((*entry >> (core * 2)) & 3);
     }
 
     /** Total valid lines across all L2s (testing hook). */
@@ -323,41 +246,13 @@ class PrivateCaches
     /** Read-only access to a core's L2 (invariant checks, tests). */
     const Cache &l2(CoreId core) const { return l2_[core]; }
 
-    /** Drop every line everywhere. */
+    /** Drop every line everywhere, in O(ncores). */
     void flushAll();
 
   private:
-    /**
-     * Maintain the packed presence directory: core @p core's 2-bit
-     * MESI field for @p line_addr. No-op when the directory is
-     * disabled (> 32 cores).
-     */
-    void dirSet(CoreId core, Addr line_addr, Mesi state)
-    {
-        if (!dir_enabled_)
-            return;
-        std::uint64_t &entry = dir_.get(line_addr >> line_shift_);
-        const auto shift = static_cast<std::uint32_t>(core) * 2;
-        entry = (entry & ~(std::uint64_t{3} << shift))
-            | (static_cast<std::uint64_t>(state) << shift);
-    }
-
     std::uint32_t ncores_;
     std::vector<Cache> l1_;
     std::vector<Cache> l2_;
-
-    /**
-     * Packed presence directory: line index -> one u64 holding every
-     * core's MESI state in 2-bit fields (core c at bits [2c, 2c+1]).
-     * Mirrors the authoritative L2 tag arrays so the miss path's
-     * snapshotRemote() is a single lookup instead of an N-core tag
-     * sweep. Zero (== kInvalid everywhere) is the value-initialized
-     * default, so untouched lines need no entry. Only maintained
-     * when ncores <= 32.
-     */
-    RadixTable<std::uint64_t> dir_;
-    std::uint32_t line_shift_ = 0;
-    bool dir_enabled_ = false;
 };
 
 } // namespace hdrd::mem

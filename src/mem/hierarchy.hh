@@ -14,7 +14,8 @@
 #define HDRD_MEM_HIERARCHY_HH
 
 #include <cstdint>
-#include <memory>
+#include <optional>
+#include <vector>
 
 #include "common/histogram.hh"
 #include "common/stats.hh"
@@ -38,6 +39,8 @@ struct LatencyModel
 
     /** S->M upgrade (invalidation round-trip). */
     Cycle upgrade = 40;
+
+    bool operator==(const LatencyModel &) const = default;
 };
 
 /** Where an access was ultimately serviced from. */
@@ -94,6 +97,8 @@ struct HierarchyConfig
     CacheGeometry l3{.size_bytes = 8 * 1024 * 1024, .assoc = 16,
                      .line_bytes = 64};
     LatencyModel latency;
+
+    bool operator==(const HierarchyConfig &) const = default;
 };
 
 /**
@@ -103,6 +108,16 @@ struct HierarchyConfig
  * Tags-only simulation: no data is stored, only coherence metadata.
  * The single public entry point is access(); everything else exists
  * for tests and statistics.
+ *
+ * The L3 keeps the presence directory, as the inclusive L3 of the
+ * paper's Nehalem platform does in its tags: with <= 32 cores every
+ * L3 way carries a 2-bit MESI field per core, mirroring that core's
+ * L2 state. A private miss reads the owner and holders from the L3
+ * way it probes anyway, and an L3 eviction back-invalidates only the
+ * cores those bits name. Larger configurations sweep every core's L2.
+ *
+ * A hierarchy is reusable: reset() returns it to its freshly built
+ * state in O(ncores), so an engine keeps one across runs.
  */
 class Hierarchy
 {
@@ -154,7 +169,7 @@ class Hierarchy
         privates_.prefetchL2Set(core, line);
         CacheLine *l1_line = privates_.probeL1(core, line);
         CacheLine *l2_line = l1_line != nullptr
-            ? privates_.l2LineOf(core, l1_line)
+            ? privates_.l2LineOf(core, line, l1_line)
             : privates_.probeL2(core, line);
         if (l2_line != nullptr) {
             AccessResult result;
@@ -172,13 +187,11 @@ class Hierarchy
             // final state (identical to fill-then-upgrade).
             if (!in_l1)
                 privates_.fillL1From(core, line, l2_line);
-            latency_hist_.add(result.latency);
             return result;
         }
 
         AccessResult result = serviceMiss(core, line, write);
         result.write = write;
-        latency_hist_.add(result.latency);
         return result;
     }
 
@@ -198,17 +211,25 @@ class Hierarchy
     const StatGroup &stats() const { return stats_; }
     StatGroup &stats() { return stats_; }
 
-    /** Distribution of per-access service latencies. */
-    const Log2Histogram &latencyHistogram() const
-    {
-        return latency_hist_;
-    }
+    /**
+     * Distribution of per-access service latencies, built from the
+     * per-service-point counts: every access at one service point
+     * has the same latency, and a histogram's buckets, sum, min and
+     * max do not depend on the order of its samples.
+     */
+    Log2Histogram latencyHistogram() const;
 
-    /** Check global MESI invariants; panics on violation (tests). */
+    /**
+     * Check global MESI invariants, including the L3 presence bits
+     * against every core's L2 state; panics on violation (tests).
+     */
     void checkInvariants() const;
 
-    /** Drop all cached state everywhere. */
-    void flushAll();
+    /**
+     * Return to the state of a freshly built hierarchy: no cached
+     * line, every counter zero. O(ncores).
+     */
+    void reset();
 
   private:
     /** Service a private-hierarchy miss; fills privates on return. */
@@ -218,14 +239,49 @@ class Hierarchy
     void upgradeForWrite(CoreId core, Addr line, CacheLine *l1_line,
                          CacheLine *l2_line, AccessResult &result);
 
-    /** Insert into L3, back-invalidating inclusion victims. */
-    void insertL3(Addr line_addr);
+    /**
+     * Insert into L3, back-invalidating the victim's private copies.
+     * @return the new L3 line, its presence bits all clear.
+     */
+    CacheLine *insertL3(Addr line_addr);
+
+    /**
+     * Owner and remote holders of @p line, which sits in L3 slot
+     * @p l3_slot: fills holders_scratch_ (every holder but
+     * @p except, ascending core id) and returns the first Modified
+     * owner, if any. Decodes the slot's presence bits, or sweeps the
+     * L2s when the hierarchy has none.
+     */
+    std::optional<CoreId> snapshotRemote(std::uint32_t l3_slot,
+                                         Addr line, CoreId except);
+
+    /** Record @p core's L2 state for the line in L3 slot @p l3_slot. */
+    void setPresence(std::uint32_t l3_slot, CoreId core, Mesi state)
+    {
+        if (presence_.empty())
+            return;
+        std::uint64_t &word = presence_[l3_slot];
+        const auto shift = static_cast<std::uint32_t>(core) * 2;
+        word = (word & ~(std::uint64_t{3} << shift))
+            | (static_cast<std::uint64_t>(state) << shift);
+    }
 
     HierarchyConfig config_;
     PrivateCaches privates_;
     Cache l3_;
     StatGroup stats_;
-    Log2Histogram latency_hist_;
+
+    /** Most cores the presence bits cover (2 bits each in a u64). */
+    static constexpr std::uint32_t kMaxPresenceCores = 32;
+
+    /**
+     * The L3's presence directory, one word per L3 way (indexed by
+     * slot, parallel to the L3's way array): core c's MESI state for
+     * the way's line at bits [2c, 2c+1]. Written whenever an L3 way
+     * is filled, so a stale word is never read. Empty when ncores >
+     * kMaxPresenceCores.
+     */
+    std::vector<std::uint64_t> presence_;
 
     // Counter cells fetched once at construction: the access path
     // bumps through pointers instead of name lookups.
@@ -235,6 +291,7 @@ class Hierarchy
     std::uint64_t *c_l2_hits_;
     std::uint64_t *c_l3_hits_;
     std::uint64_t *c_upgrades_;
+    std::uint64_t *c_l1_upgrades_;
     std::uint64_t *c_invalidations_;
     std::uint64_t *c_hitm_transfers_;
     std::uint64_t *c_hitm_loads_;

@@ -49,6 +49,21 @@ Simulator::reconfigure(const SimConfig &config)
     config_ = config;
 }
 
+mem::Hierarchy &
+Simulator::resetHierarchy()
+{
+    if (hier_ && hier_->config() == config_.mem) {
+        hier_->reset();
+    } else {
+        // Free the old platform before building the new one, so the
+        // two never coexist.
+        hier_.reset();
+        hier_.emplace(config_.mem);
+        ++hierarchy_builds_;
+    }
+    return *hier_;
+}
+
 RunResult
 Simulator::run(Program &program, RunObserver *observer)
 {
@@ -85,7 +100,7 @@ Simulator::runImpl(Program &program, RunObserver *observer)
     const std::uint32_t granule_shift = config_.granule_shift;
 
     // Platform.
-    mem::Hierarchy hier(config_.mem);
+    mem::Hierarchy &hier = resetHierarchy();
     pmu::Pmu pmu(ncores);
     // Hardware-signal fault injection. The model owns a private Rng
     // (seeded from run seed + fault seed), so the main rng stream —

@@ -19,6 +19,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <ostream>
 #include <vector>
 
@@ -234,11 +235,15 @@ struct RunObserver
 
 /**
  * Executes Programs under a fixed SimConfig. Logically stateless
- * between runs: every run() builds a fresh platform. The FastTrack
- * shadow memory is the one piece of *storage* that persists — each
- * run borrows it after a recycling reset, so a long-lived engine
- * (one per service worker) reuses chunk pages and pooled clocks
- * across jobs instead of rebuilding them from the allocator.
+ * between runs: every run() starts from a platform in its freshly
+ * built state. Two pieces of *storage* persist, each reset in place
+ * rather than rebuilt, so a long-lived engine (one per service
+ * worker) stops paying the allocator and a full clear per job:
+ *   - the FastTrack shadow memory, whose chunk pages and pooled read
+ *     clocks each run borrows after a recycling reset;
+ *   - the simulated cache hierarchy, reset in O(ncores) (its caches
+ *     clear a set where the next run first fills it) and rebuilt only
+ *     when a run's SimConfig::mem differs from the kept one's.
  */
 class Simulator
 {
@@ -259,12 +264,19 @@ class Simulator
 
     /**
      * Re-arm this engine with a new configuration between runs.
-     * run() builds the platform fresh each time, so a long-lived
-     * engine (one per hdrd_served worker) serves back-to-back jobs
-     * with different regimes/seeds with no state bleeding across
-     * them — same validation as construction.
+     * run() resets the platform each time, so a long-lived engine
+     * (one per hdrd_served worker) serves back-to-back jobs with
+     * different regimes/seeds with no state bleeding across them —
+     * same validation as construction.
      */
     void reconfigure(const SimConfig &config);
+
+    /**
+     * How many times run() has built a mem::Hierarchy: once for the
+     * first run, then only when SimConfig::mem changed (testing
+     * hook).
+     */
+    std::uint64_t hierarchyBuilds() const { return hierarchy_builds_; }
 
     /** One-shot convenience wrapper. */
     static RunResult runWith(Program &program, const SimConfig &config)
@@ -278,10 +290,17 @@ class Simulator
     template <instr::ToolMode kMode>
     RunResult runImpl(Program &program, RunObserver *observer);
 
+    /** The kept hierarchy, reset for this run or rebuilt if stale. */
+    mem::Hierarchy &resetHierarchy();
+
     SimConfig config_;
 
     /** Persistent FastTrack shadow scratch, recycled per run. */
     detect::ShadowMemory ft_shadow_;
+
+    /** Persistent simulated caches; built by the first run(). */
+    std::optional<mem::Hierarchy> hier_;
+    std::uint64_t hierarchy_builds_ = 0;
 };
 
 } // namespace hdrd::runtime

@@ -66,12 +66,13 @@ void
 Connection::rxConsume(std::size_t n)
 {
     rx_pos_ += n;
-    if (rx_pos_ == rx_.size()) {
-        rx_.clear();
+    if (rx_pos_ == rx_end_) {
         rx_pos_ = 0;
-    } else if (rx_pos_ >= 256 * 1024 && rx_pos_ >= rx_.size() / 2) {
-        // Compact once the dead prefix dominates the buffer.
-        rx_.erase(0, rx_pos_);
+        rx_end_ = 0;
+    } else if (rx_pos_ >= 256 * 1024 && rx_pos_ >= rx_end_ / 2) {
+        // Compact once the dead prefix dominates the buffered bytes.
+        std::memmove(rx_.data(), rx_.data() + rx_pos_, rx_end_ - rx_pos_);
+        rx_end_ -= rx_pos_;
         rx_pos_ = 0;
     }
 }
@@ -121,17 +122,18 @@ Connection::onReadable()
     if (closing_ || rxPaused())
         return true;
 
-    const std::size_t old = rx_.size();
-    rx_.resize(old + kReadChunk);
+    // The buffer grows (and zero-fills) only when a read chunk no
+    // longer fits past the buffered bytes; otherwise the read lands
+    // in storage an earlier read already paid for.
+    if (rx_.size() - rx_end_ < kReadChunk)
+        rx_.resize(rx_end_ + kReadChunk);
     ssize_t got;
     do {
-        got = ::read(fd_, rx_.data() + old, kReadChunk);
+        got = ::read(fd_, rx_.data() + rx_end_, kReadChunk);
     } while (got < 0 && errno == EINTR);
-    if (got < 0) {
-        rx_.resize(old);
+    if (got < 0)
         return errno == EAGAIN || errno == EWOULDBLOCK;
-    }
-    rx_.resize(old + static_cast<std::size_t>(got));
+    rx_end_ += static_cast<std::size_t>(got);
     if (got == 0)
         return false;  // peer closed
     return pump();

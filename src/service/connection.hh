@@ -136,7 +136,7 @@ class Connection
     };
 
     /** Bytes buffered but not yet consumed by the state machine. */
-    std::size_t rxAvailable() const { return rx_.size() - rx_pos_; }
+    std::size_t rxAvailable() const { return rx_end_ - rx_pos_; }
 
     const char *rxData() const { return rx_.data() + rx_pos_; }
     void rxConsume(std::size_t n);
@@ -183,8 +183,14 @@ class Connection
     std::shared_ptr<std::atomic<bool>> token_;
 
     // --- inbound ---
+    /**
+     * Read buffer: bytes [rx_pos_, rx_end_) are received and not yet
+     * consumed. rx_.size() is the storage, which only grows, so a
+     * read does not zero-fill the chunk it is about to overwrite.
+     */
     std::string rx_;
     std::size_t rx_pos_ = 0;
+    std::size_t rx_end_ = 0;
     RxState state_ = RxState::kFrameHeader;
     FrameHeader header_{};
 

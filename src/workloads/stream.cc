@@ -68,8 +68,8 @@ makeStreamHotCold(const WorkloadParams &params)
     const std::uint64_t per_thread = cold.words() / params.nthreads;
     // Ten alternating bursts per thread, per_thread accesses in all:
     // 90% of accesses stay hot, 10% random-walk the thread's private
-    // cold slice (~50 touches per 512-granule shadow chunk, so the
-    // full cold shadow footprint materializes).
+    // cold slice (~3 touches per 32-granule shadow chunk, so about
+    // 96% of the cold shadow footprint materializes).
     for (ThreadId t = 0; t < params.nthreads; ++t) {
         const Region hot_slice = hot.slice(t, params.nthreads);
         const Region cold_slice = cold.slice(t, params.nthreads);

@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <optional>
+#include <vector>
+
 #include "mem/cache.hh"
 
 using namespace hdrd;
@@ -20,6 +25,46 @@ smallGeometry()
     return CacheGeometry{.size_bytes = 256, .assoc = 2,
                          .line_bytes = 64};
 }
+
+/** Every eviction a cache made, as (line address, state). */
+using Victims = std::vector<std::pair<Addr, Mesi>>;
+
+/**
+ * Drive @p c with @p n seeded accesses over 32 lines: a hit touches
+ * the line, a miss inserts it (state from the seed). Returns every
+ * victim in order, so two caches can be compared access by access.
+ */
+Victims
+drive(Cache &c, std::uint64_t seed, int n)
+{
+    Victims victims;
+    std::uint64_t x = seed;
+    for (int i = 0; i < n; ++i) {
+        x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+        const Addr addr = ((x >> 33) % 32) * 64;
+        if (CacheLine *line = c.probe(addr)) {
+            c.touchLine(line);
+            continue;
+        }
+        const Mesi state = ((x >> 20) & 1) ? Mesi::kModified
+                                           : Mesi::kShared;
+        if (const auto ev = c.insert(addr, state))
+            victims.emplace_back(ev->line_addr, ev->state);
+    }
+    return victims;
+}
+
+std::vector<std::pair<Addr, Mesi>>
+sortedEntries(const Cache &c)
+{
+    auto entries = c.residentEntries();
+    std::sort(entries.begin(), entries.end());
+    return entries;
+}
+
+/** 4 sets x 4 ways: 32 lines over 16 ways keeps evicting. */
+const CacheGeometry kDriveGeometry{.size_bytes = 1024, .assoc = 4,
+                                   .line_bytes = 64};
 
 } // namespace
 
@@ -172,4 +217,68 @@ TEST(Cache, ManyDistinctSetsNoInterference)
     EXPECT_EQ(c.residentLines(), 64u);
     for (Addr a = 0; a < 64 * 64; a += 64)
         EXPECT_NE(c.probe(a), nullptr);
+}
+
+TEST(Cache, FlushedCacheReadsEmptyAndRefillsLikeAFreshOne)
+{
+    Cache used(kDriveGeometry);
+    ASSERT_FALSE(drive(used, 1, 500).empty());
+    ASSERT_EQ(used.residentLines(), 16u);
+    used.flush();
+
+    // Empty everywhere: no line probes, counts or lists.
+    EXPECT_EQ(used.residentLines(), 0u);
+    EXPECT_TRUE(used.residentEntries().empty());
+    for (Addr a = 0; a < 32 * 64; a += 64)
+        EXPECT_EQ(used.probe(a), nullptr) << a;
+
+    // Refilled, it evicts exactly what a fresh cache evicts and ends
+    // holding the same lines in the same states.
+    Cache fresh(kDriveGeometry);
+    EXPECT_EQ(drive(used, 2, 500), drive(fresh, 2, 500));
+    EXPECT_EQ(sortedEntries(used), sortedEntries(fresh));
+
+    // A half-refilled cache flushed again is empty again, including
+    // the sets the refill had already cleared.
+    used.flush();
+    fresh = Cache(kDriveGeometry);
+    EXPECT_EQ(drive(used, 3, 7), drive(fresh, 3, 7));
+    used.flush();
+    EXPECT_EQ(used.residentLines(), 0u);
+    fresh = Cache(kDriveGeometry);
+    EXPECT_EQ(drive(used, 4, 300), drive(fresh, 4, 300));
+    EXPECT_EQ(sortedEntries(used), sortedEntries(fresh));
+}
+
+TEST(Cache, LruClockWrapKeepsEveryVictim)
+{
+    // The 32-bit LRU clock renormalises each set's stamps before it
+    // wraps; victims must be the ones an unwrapped clock picks.
+    Cache plain(kDriveGeometry);
+    Cache wrapped(kDriveGeometry);
+    EXPECT_EQ(drive(plain, 5, 40), drive(wrapped, 5, 40));
+    wrapped.skipLruTicks(~std::uint32_t{0});  // saturates at the wrap
+    EXPECT_EQ(drive(plain, 6, 1000), drive(wrapped, 6, 1000));
+    EXPECT_EQ(sortedEntries(plain), sortedEntries(wrapped));
+
+    // Wrapping again, from a clock restarted by the first wrap.
+    wrapped.skipLruTicks(~std::uint32_t{0} - 100);
+    EXPECT_EQ(drive(plain, 7, 1000), drive(wrapped, 7, 1000));
+    EXPECT_EQ(sortedEntries(plain), sortedEntries(wrapped));
+}
+
+TEST(Cache, EvictionCarriesTheVictimsTagAndLink)
+{
+    Cache c(smallGeometry());
+    c.insertLine(0x000, Mesi::kModified)->link = 7;
+    c.insertLine(0x080, Mesi::kShared)->link = 9;
+    c.touch(0x080);
+    const auto evicted = c.insert(0x100, Mesi::kShared);
+    ASSERT_TRUE(evicted.has_value());
+    EXPECT_EQ(evicted->line_addr, 0x000u);
+    EXPECT_EQ(evicted->state, Mesi::kModified);
+    EXPECT_EQ(evicted->link, 7u);
+    const CacheLine *line = c.probe(0x100);
+    ASSERT_NE(line, nullptr);
+    EXPECT_EQ(c.lineAddrAt(c.slotOf(line)), 0x100u);
 }

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "mem/hierarchy.hh"
 
 using namespace hdrd;
@@ -23,6 +25,40 @@ tinyConfig(std::uint32_t ncores = 2)
     cfg.l2 = {.size_bytes = 2048, .assoc = 4, .line_bytes = 64};
     cfg.l3 = {.size_bytes = 16384, .assoc = 8, .line_bytes = 64};
     return cfg;
+}
+
+/**
+ * Seeded mixed traffic from every core over 64 KiB: enough sharing
+ * for HITMs and upgrades, and four times tinyConfig()'s L3, so every
+ * level evicts. Returns every access's result.
+ */
+std::vector<AccessResult>
+mixedTraffic(Hierarchy &h, std::uint64_t seed, int n,
+             bool check = false)
+{
+    std::vector<AccessResult> results;
+    std::uint64_t x = seed;
+    for (int i = 0; i < n; ++i) {
+        x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+        const auto core =
+            static_cast<CoreId>((x >> 33) % h.config().ncores);
+        const Addr addr = (x >> 17) % 65536;
+        results.push_back(h.access(core, addr, (x >> 13) & 1));
+        if (check && i % 97 == 0)
+            h.checkInvariants();
+    }
+    return results;
+}
+
+bool
+sameResult(const AccessResult &a, const AccessResult &b)
+{
+    return a.where == b.where && a.write == b.write && a.hitm == b.hitm
+        && a.hitm_load == b.hitm_load
+        && a.invalidations == b.invalidations
+        && a.upgrade == b.upgrade
+        && a.private_writeback == b.private_writeback
+        && a.latency == b.latency;
 }
 
 } // namespace
@@ -137,7 +173,7 @@ TEST(Hierarchy, L3HitAfterAllPrivateCopiesGone)
 {
     Hierarchy h(tinyConfig());
     h.access(0, 0x1000, false);
-    h.flushAll();
+    h.reset();
     h.access(0, 0x1000, false);  // memory again after full flush
     // Now only evict private copies via a targeted re-test: simulate
     // a line resident in L3 but not private by writing from core 1
@@ -265,4 +301,77 @@ TEST(Hierarchy, L2HitAfterL1Eviction)
                     || r.where == HitWhere::kL2);
     }
     EXPECT_GE(l2_hits, 1);
+}
+
+TEST(Hierarchy, PresenceBitsStayExactUnderMixedTraffic)
+{
+    // checkInvariants compares every L3 way's presence bits with each
+    // core's L2 state; check it all along a run that evicts from
+    // every level.
+    Hierarchy h(tinyConfig(4));
+    mixedTraffic(h, 777, 20000, /*check=*/true);
+    EXPECT_GT(h.stats().counter("l3_evictions"), 0u);
+    EXPECT_GT(h.stats().counter("back_invalidations"), 0u);
+    EXPECT_GT(h.stats().counter("hitm_transfers"), 0u);
+    h.checkInvariants();
+}
+
+TEST(Hierarchy, MoreThan32CoresSweepTheL2s)
+{
+    // Past 32 cores the L3 has no presence bits; snapshots and
+    // back-invalidation sweep every core's L2 instead.
+    Hierarchy h(tinyConfig(40));
+    const auto results = mixedTraffic(h, 4242, 20000, /*check=*/true);
+    EXPECT_GT(h.stats().counter("back_invalidations"), 0u);
+    EXPECT_GT(h.stats().counter("hitm_loads"), 0u);
+    // Core 39 writes, core 33 reads: the HITM still finds its owner.
+    h.access(39, 0x1000, true);
+    const auto r = h.access(33, 0x1000, false);
+    EXPECT_TRUE(r.hitm_load);
+    EXPECT_EQ(h.privateState(39, 0x1000), Mesi::kShared);
+    h.checkInvariants();
+}
+
+TEST(Hierarchy, ResetHierarchyBehavesLikeAFreshOne)
+{
+    Hierarchy kept(tinyConfig(4));
+    mixedTraffic(kept, 1, 5000);
+    kept.reset();
+    EXPECT_EQ(kept.stats().counter("accesses"), 0u);
+    EXPECT_EQ(kept.latencyHistogram().count(), 0u);
+    for (Addr a = 0; a < 65536; a += 64) {
+        EXPECT_FALSE(kept.inL3(a));
+        EXPECT_EQ(kept.privateState(0, a), Mesi::kInvalid);
+    }
+    kept.checkInvariants();
+
+    Hierarchy fresh(tinyConfig(4));
+    const auto a = mixedTraffic(kept, 2, 5000, /*check=*/true);
+    const auto b = mixedTraffic(fresh, 2, 5000);
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i)
+        ASSERT_TRUE(sameResult(a[i], b[i])) << "access " << i;
+    for (const char *c : {"accesses", "l1_hits", "l2_hits", "l3_hits",
+                          "upgrades", "hitm_loads", "l3_evictions",
+                          "back_invalidations", "private_writebacks"})
+        EXPECT_EQ(kept.stats().counter(c), fresh.stats().counter(c)) << c;
+}
+
+TEST(Hierarchy, LatencyHistogramMatchesPerAccessSamples)
+{
+    // The histogram is built from per-service-point counts; it must
+    // equal one fed every access's latency as it happened.
+    Hierarchy h(tinyConfig(4));
+    Log2Histogram direct;
+    for (const AccessResult &r : mixedTraffic(h, 99, 20000))
+        direct.add(r.latency);
+    const Log2Histogram built = h.latencyHistogram();
+    EXPECT_GT(h.stats().counter("upgrades"), 0u);
+    EXPECT_EQ(built.count(), direct.count());
+    EXPECT_EQ(built.sum(), direct.sum());
+    EXPECT_EQ(built.min(), direct.min());
+    EXPECT_EQ(built.max(), direct.max());
+    ASSERT_EQ(built.buckets(), direct.buckets());
+    for (std::size_t i = 0; i < direct.buckets(); ++i)
+        EXPECT_EQ(built.bucket(i), direct.bucket(i)) << i;
 }

@@ -92,16 +92,48 @@ TEST(Shadow, ClearDropsEverything)
 
 TEST(Shadow, ChunkBoundaryGranules)
 {
-    // 512 granules per chunk at 8-byte granularity: addresses 0x0
-    // and 0xFF8 share a chunk, 0x1000 starts the next one.
+    // 32 granules per chunk at 8-byte granularity: addresses 0x0
+    // and 0xF8 share a chunk, 0x100 starts the next one.
+    EXPECT_EQ(ShadowMemory::kChunkGranules, 32u);
     ShadowMemory shadow(3);
-    VarState &last = shadow.state(0xFF8);
+    VarState &first = shadow.state(0x0);
+    VarState &last = shadow.state(0xF8);
     EXPECT_EQ(shadow.chunks(), 1u);
-    VarState &first_next = shadow.state(0x1000);
+    EXPECT_EQ(&last - &first, 31);
+    VarState &first_next = shadow.state(0x100);
     EXPECT_EQ(shadow.chunks(), 2u);
     EXPECT_NE(&last, &first_next);
     // Straddling byte addresses still map to their own granules.
-    EXPECT_EQ(&shadow.state(0xFFF), &last);
+    EXPECT_EQ(&shadow.state(0xFF), &last);
+    // The site table chunks alike: a site set at the boundary's far
+    // side does not show on the near side.
+    shadow.sites().setWriteSite(shadow.granule(0x100), 7);
+    EXPECT_EQ(shadow.writeSite(0x100), 7u);
+    EXPECT_EQ(shadow.writeSite(0xF8), kInvalidSite);
+}
+
+TEST(Shadow, OverflowMapStartsAt256MiB)
+{
+    // The directory covers 2^20 chunks of 32 granules: granule 2^25,
+    // byte address 256 MiB at 8-byte granules, is the first whose
+    // chunk goes to the overflow map.
+    EXPECT_EQ(ShadowMemory::kOverflowGranule, std::uint64_t{1} << 25);
+    ShadowMemory shadow(3);
+    const Addr boundary = ShadowMemory::kOverflowGranule << 3;
+    EXPECT_EQ(boundary, Addr{256} << 20);
+    shadow.state(boundary - 8).w = Epoch(1, 4);
+    EXPECT_EQ(shadow.chunks(), 1u);
+    EXPECT_EQ(shadow.overflowChunks(), 0u);
+    shadow.state(boundary).w = Epoch(2, 6);
+    EXPECT_EQ(shadow.chunks(), 2u);
+    EXPECT_EQ(shadow.overflowChunks(), 1u);
+    EXPECT_EQ(shadow.peek(boundary - 8)->w, Epoch(1, 4));
+    EXPECT_EQ(shadow.peek(boundary)->w, Epoch(2, 6));
+    // A coarser granule moves the boundary up in bytes, not granules.
+    shadow.prepare(6);
+    shadow.state((ShadowMemory::kOverflowGranule << 6) - 64);
+    EXPECT_EQ(shadow.overflowChunks(), 1u);  // held from before
+    EXPECT_EQ(shadow.chunks(), 1u);
 }
 
 TEST(Shadow, HugeSparseAddressIsTracked)

@@ -447,3 +447,65 @@ TEST(Simulator, ReusedEngineMatchesFreshInstance)
     // A recycled shadow must not leak state between jobs.
     EXPECT_EQ(racy_reused, racy_again);
 }
+
+TEST(Simulator, KeptHierarchyIsRebuiltOnlyWhenItsConfigChanges)
+{
+    // One engine runs a sparse large-footprint job, a tiny job, a job
+    // on fewer cores, and the first job again. Each dump must be
+    // byte-identical to a fresh engine's, and the kept hierarchy is
+    // rebuilt only when the core count (SimConfig::mem) changes.
+    const auto dumpOf = [](const RunResult &r) {
+        std::ostringstream os;
+        r.dump(os);
+        return os.str();
+    };
+    // Lines 4 KiB apart over 32 MiB: every access its own shadow
+    // chunk, and enough lines to spill the L2s and fill L3 sets.
+    const auto sparse = [] {
+        Builder b("sparse", 2);
+        const Region span = b.alloc(32u << 20);
+        for (ThreadId t = 0; t < 2; ++t)
+            b.sweep(t, span, 4096, 0.5, /*random=*/true, 4096);
+        return b.build();
+    };
+    SimConfig continuous;
+    continuous.mode = ToolMode::kContinuous;
+    SimConfig two_cores = demandConfig();
+    two_cores.mem.ncores = 2;
+
+    Simulator engine(continuous);
+    EXPECT_EQ(engine.hierarchyBuilds(), 0u);
+    const std::string sparse_kept = dumpOf(engine.run(*sparse()));
+    EXPECT_EQ(engine.hierarchyBuilds(), 1u);
+
+    engine.reconfigure(demandConfig());
+    const std::string tiny_kept =
+        dumpOf(engine.run(*racyProgram(200, 20)));
+    EXPECT_EQ(engine.hierarchyBuilds(), 1u);
+
+    engine.reconfigure(two_cores);
+    const std::string cores_kept = dumpOf(engine.run(*racyProgram()));
+    EXPECT_EQ(engine.hierarchyBuilds(), 2u);
+
+    engine.reconfigure(continuous);
+    const std::string sparse_again = dumpOf(engine.run(*sparse()));
+    EXPECT_EQ(engine.hierarchyBuilds(), 3u);
+
+    EXPECT_EQ(sparse_kept,
+              dumpOf(Simulator::runWith(*sparse(), continuous)));
+    EXPECT_EQ(tiny_kept, dumpOf(Simulator::runWith(*racyProgram(200, 20),
+                                                   demandConfig())));
+    EXPECT_EQ(cores_kept,
+              dumpOf(Simulator::runWith(*racyProgram(), two_cores)));
+    EXPECT_EQ(sparse_again, sparse_kept);
+
+    // A regime, seed or schedule change keeps the hierarchy.
+    SimConfig reseeded = continuous;
+    reseeded.seed = 99;
+    reseeded.sched_jitter = 0.1;
+    engine.reconfigure(reseeded);
+    const std::string reseeded_kept = dumpOf(engine.run(*sparse()));
+    EXPECT_EQ(engine.hierarchyBuilds(), 3u);
+    EXPECT_EQ(reseeded_kept,
+              dumpOf(Simulator::runWith(*sparse(), reseeded)));
+}

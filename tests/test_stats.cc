@@ -103,3 +103,16 @@ TEST(Stats, NameAccessor)
     StatGroup g("memsys");
     EXPECT_EQ(g.name(), "memsys");
 }
+
+TEST(Stats, ResetZeroesCounterCellsInPlace)
+{
+    // A hot path's cached cell must stay valid across reset().
+    StatGroup g("g");
+    std::uint64_t *cell = g.counterCell("n");
+    *cell += 5;
+    g.reset();
+    EXPECT_EQ(*cell, 0u);
+    *cell += 3;
+    EXPECT_EQ(g.counter("n"), 3u);
+    EXPECT_EQ(g.counterCell("n"), cell);
+}

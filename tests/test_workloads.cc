@@ -136,6 +136,19 @@ TEST_P(EveryWorkload, DeterministicOpCount)
     EXPECT_EQ(a.wall_cycles, b.wall_cycles);
 }
 
+TEST_P(EveryWorkload, HierarchyInvariantsHoldThroughout)
+{
+    // Inclusion, single-writer, L1/L2 agreement and the L3 presence
+    // bits against every core's L2 state, checked all along a run in
+    // the paper's regime.
+    auto prog = info().factory(tinyParams());
+    SimConfig config;
+    config.mode = ToolMode::kDemand;
+    config.invariant_check_interval = 499;
+    const auto result = Simulator::runWith(*prog, config);
+    EXPECT_GT(result.mem_accesses, 0u);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllRegistered, EveryWorkload,
     ::testing::ValuesIn([] {
