@@ -14,6 +14,8 @@
  * lost recall does the failsafe buy back?
  */
 
+#include <cinttypes>
+
 #include "bench_util.hh"
 #include "pmu/faults.hh"
 #include "workloads/synthetic.hh"
@@ -183,8 +185,9 @@ main(int argc, char **argv)
     params.injected_races = 4;
     params.race_repeats = 150;
 
-    std::printf("%zu workloads, %u injected races x %u repeats each "
-                "where supported;\nrecall = injected races found, "
+    std::printf("%zu workloads, %u injected races x %" PRIu64
+                " repeats each where supported;\n"
+                "recall = injected races found, "
                 "overhead = simulated cycles vs native,\n(fs) = "
                 "failsafe escalation ladder armed\n",
                 subjects.size(), params.injected_races,

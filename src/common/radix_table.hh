@@ -19,15 +19,20 @@
  * in memory, so a working set of N pages spans ~N/16 allocator
  * objects and far fewer TLB entries than N scattered mallocs. Pages
  * never move or free until clear(), so references returned by get()
- * stay valid across later inserts.
+ * stay valid across later inserts until the next reset() or clear().
  *
  * Two reset flavours exist. clear() frees everything. reset() is the
  * recycling path for engine reuse across jobs: it bumps a generation
- * counter so every page becomes logically absent in O(1), and a stale
- * page is revived (slots re-value-initialized, no allocation) only
- * when next touched. Long-lived engines thus stop paying a full
- * free/malloc/zero sweep between runs while observable behaviour
- * matches a cleared table.
+ * counter and rewinds the arena's bump cursor, both O(1). Each
+ * generation then takes arena pages 0, 1, 2, ... again in first-touch
+ * order, re-value-initializing each as it is taken, and allocates
+ * only past the end of what earlier generations left. A page records
+ * the generation and page index it was last taken for, and a
+ * directory or overflow entry counts only while its page still
+ * serves that index in the current generation. The storage kept
+ * across generations is therefore the largest generation's page
+ * count, not the union of every index any generation touched, while
+ * observable behaviour matches a cleared table.
  */
 
 #ifndef HDRD_COMMON_RADIX_TABLE_HH
@@ -78,30 +83,23 @@ class RadixTable
         const std::uint64_t p = key >> kPageBits;
         if (p == last_idx_)
             return &last_page_->slots[key & kPageMask];
-        const Page *page = nullptr;
-        if (p < kMaxDirPages) {
-            if (p < dir_.size())
-                page = dir_[p];
-        } else {
-            const auto it = overflow_.find(p);
-            if (it != overflow_.end())
-                page = it->second;
-        }
-        if (page == nullptr || page->gen != gen_)
-            return nullptr;
-        return &page->slots[key & kPageMask];
+        const Page *page = find(p);
+        return page == nullptr ? nullptr : &page->slots[key & kPageMask];
     }
 
     /** Number of live (current-generation) pages. */
-    std::size_t pages() const { return npages_; }
+    std::size_t pages() const { return used_; }
 
-    /** Pages held in storage, live or awaiting recycling. */
+    /**
+     * Pages held in storage, live or awaiting recycling: the largest
+     * page count any generation since the last clear() took.
+     */
     std::size_t allocatedPages() const { return allocated_; }
 
-    /** Stale pages revived in place instead of reallocated. */
+    /** Pages taken again from the arena instead of allocated. */
     std::uint64_t recycledPages() const { return recycled_; }
 
-    /** Pages held in the overflow map, live or awaiting recycling. */
+    /** Overflow-map entries; each names a distinct kept page. */
     std::size_t overflowPages() const { return overflow_.size(); }
 
     /** Drop every page (full reset, storage freed). */
@@ -110,8 +108,7 @@ class RadixTable
         dir_.clear();
         overflow_.clear();
         arena_.clear();
-        arena_used_ = kArenaChunkPages;
-        npages_ = 0;
+        used_ = 0;
         allocated_ = 0;
         last_idx_ = kNoPage;
         last_page_ = nullptr;
@@ -120,13 +117,13 @@ class RadixTable
     /**
      * Logically empty the table in O(1), keeping page storage for
      * recycling. Afterwards pages() is 0 and peek() misses everywhere,
-     * exactly as after clear(); the next get() of an old key revives
-     * its page by re-initializing the slots in place.
+     * exactly as after clear(); the next generation takes the kept
+     * pages again from the start of the arena, in first-touch order.
      */
     void reset()
     {
         ++gen_;
-        npages_ = 0;
+        used_ = 0;
         last_idx_ = kNoPage;
         last_page_ = nullptr;
     }
@@ -135,7 +132,12 @@ class RadixTable
     struct Page
     {
         std::array<T, kPageSize> slots{};
+
+        /** Generation this page was last taken in. */
         std::uint64_t gen = 0;
+
+        /** Page index (key >> kPageBits) it was taken for. */
+        std::uint64_t index = 0;
     };
 
     /** Pages per arena chunk; chunks are contiguous Page[] blocks. */
@@ -143,59 +145,76 @@ class RadixTable
 
     static constexpr std::uint64_t kNoPage = ~std::uint64_t{0};
 
-    Page *revive(Page *page)
+    /** The current generation's page for index @p p, else null. */
+    Page *find(std::uint64_t p) const
     {
-        if (page->gen != gen_) {
-            if (page->gen != kNeverUsed) {
-                page->slots.fill(T{});
-                ++recycled_;
-            }
-            page->gen = gen_;
-            ++npages_;
+        Page *page = nullptr;
+        if (p < kMaxDirPages) {
+            if (p < dir_.size())
+                page = dir_[p];
+        } else {
+            const auto it = overflow_.find(p);
+            if (it != overflow_.end())
+                page = it->second;
         }
+        if (page == nullptr || page->gen != gen_ || page->index != p)
+            return nullptr;
         return page;
     }
 
-    /** Bump-allocate the next page from the arena. */
-    Page *newPage()
+    /**
+     * Take the arena page at the bump cursor for index @p p: a page an
+     * earlier generation left is wiped and unbound from its old
+     * overflow key; past the end, the arena grows by one page.
+     */
+    Page *takePage(std::uint64_t p)
     {
-        if (arena_used_ == kArenaChunkPages) {
-            arena_.push_back(
-                std::make_unique<Page[]>(kArenaChunkPages));
-            arena_used_ = 0;
+        const std::size_t at = used_++;
+        if (at == arena_.size() * kArenaChunkPages)
+            arena_.push_back(std::make_unique<Page[]>(kArenaChunkPages));
+        Page *page = &arena_[at / kArenaChunkPages][at % kArenaChunkPages];
+        if (at < allocated_) {
+            if (page->index >= kMaxDirPages) {
+                const auto it = overflow_.find(page->index);
+                if (it != overflow_.end() && it->second == page)
+                    overflow_.erase(it);
+            }
+            page->slots.fill(T{});
+            ++recycled_;
+        } else {
+            ++allocated_;
         }
-        Page *page = &arena_.back()[arena_used_++];
-        page->gen = kNeverUsed;
-        ++allocated_;
+        page->gen = gen_;
+        page->index = p;
         return page;
     }
 
     Page *materialize(std::uint64_t p)
     {
-        if (p < kMaxDirPages) {
-            if (p >= dir_.size()) {
-                std::size_t grown = dir_.empty() ? 64 : dir_.size() * 2;
-                if (grown < p + 1)
-                    grown = static_cast<std::size_t>(p) + 1;
-                if (grown > kMaxDirPages)
-                    grown = kMaxDirPages;
-                dir_.resize(grown, nullptr);
-            }
-            Page *&slot = dir_[p];
-            if (slot == nullptr)
-                slot = newPage();
-            return revive(slot);
+        if (Page *page = find(p))
+            return page;
+        Page *page = takePage(p);
+        if (p >= kMaxDirPages) {
+            overflow_[p] = page;
+            return page;
         }
-        Page *&slot = overflow_[p];
-        if (slot == nullptr)
-            slot = newPage();
-        return revive(slot);
+        if (p >= dir_.size()) {
+            std::size_t grown = dir_.empty() ? 64 : dir_.size() * 2;
+            if (grown < p + 1)
+                grown = static_cast<std::size_t>(p) + 1;
+            if (grown > kMaxDirPages)
+                grown = kMaxDirPages;
+            dir_.resize(grown, nullptr);
+        }
+        dir_[p] = page;
+        return page;
     }
 
-    /** Generation tag for a freshly allocated, not-yet-live page. */
-    static constexpr std::uint64_t kNeverUsed = ~std::uint64_t{0};
-
-    /** Flat directory: page index -> arena page (null until touched). */
+    /**
+     * Flat directory: page index -> the arena page last taken for it
+     * (null until touched; stale once that page serves another index
+     * or generation).
+     */
     std::vector<Page *> dir_;
 
     /** Pages whose index exceeds the directory ceiling. */
@@ -203,13 +222,16 @@ class RadixTable
 
     /** Contiguous chunks all pages live in; dropped only by clear(). */
     std::vector<std::unique_ptr<Page[]>> arena_;
-    std::size_t arena_used_ = kArenaChunkPages;
 
-    std::size_t npages_ = 0;
+    /** Bump cursor: pages taken this generation, arena[0, used_). */
+    std::size_t used_ = 0;
+
+    /** Pages ever handed out since clear(): arena[0, allocated_). */
     std::size_t allocated_ = 0;
+
     std::uint64_t recycled_ = 0;
 
-    /** Current generation; pages from older generations are stale. */
+    /** Current generation; pages taken in older ones are stale. */
     std::uint64_t gen_ = 0;
 
     /** Last-page memo: streaming accesses skip the directory walk. */

@@ -22,7 +22,10 @@
  * Read-shared variables reference their vector clock by pool index
  * rather than pointer: inflation and collapse recycle pooled clocks
  * instead of hitting the allocator, and clear() retires chunks and
- * clocks in O(1) for reuse by the next job.
+ * clocks in O(1) for reuse by the next job. The next job re-takes the
+ * retired chunks in its own first-touch order, whatever addresses
+ * they last shadowed, so an engine kept across jobs holds its largest
+ * job's chunk count, not every chunk any job touched.
  */
 
 #ifndef HDRD_DETECT_SHADOW_HH
@@ -279,25 +282,29 @@ class ShadowMemory
     /** Number of live chunks. */
     std::size_t chunks() const { return table_.pages(); }
 
-    /** Chunks held in storage for recycling (live + retired). */
+    /**
+     * Chunks held in storage (live + retired): the most any run
+     * since construction took.
+     */
     std::size_t allocatedChunks() const
     {
         return table_.allocatedPages();
     }
 
-    /** Retired chunks revived in place instead of reallocated. */
+    /** Chunks re-taken from storage instead of allocated. */
     std::uint64_t recycledChunks() const
     {
         return table_.recycledPages();
     }
 
-    /** Chunks held in the overflow map rather than the directory. */
+    /** Kept chunks bound in the overflow map, not the directory. */
     std::size_t overflowChunks() const { return table_.overflowPages(); }
 
     /**
      * Retire every chunk, site entry, and pooled clock. O(1) in the
      * table size: chunk storage and clock capacity stay parked for
-     * the next run instead of going back to the allocator.
+     * the next run instead of going back to the allocator, and that
+     * run takes the parked chunks for whatever granules it touches.
      */
     void clear()
     {

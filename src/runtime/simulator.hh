@@ -239,8 +239,11 @@ struct RunObserver
  * built state. Two pieces of *storage* persist, each reset in place
  * rather than rebuilt, so a long-lived engine (one per service
  * worker) stops paying the allocator and a full clear per job:
- *   - the FastTrack shadow memory, whose chunk pages and pooled read
- *     clocks each run borrows after a recycling reset;
+ *   - the FastTrack shadow memory, whose pooled read clocks and chunk
+ *     pages each run borrows after an O(1) recycling reset. A run
+ *     re-takes kept chunk pages in first-touch order whatever their
+ *     addresses, so the shadow kept is the largest run's chunk count,
+ *     not every chunk any past run touched;
  *   - the simulated cache hierarchy, reset in O(ncores) (its caches
  *     clear a set where the next run first fills it) and rebuilt only
  *     when a run's SimConfig::mem differs from the kept one's.
@@ -277,6 +280,13 @@ class Simulator
      * hook).
      */
     std::uint64_t hierarchyBuilds() const { return hierarchy_builds_; }
+
+    /**
+     * The FastTrack shadow kept across runs (testing hook): after a
+     * run, chunks() is that run's live chunk count and
+     * allocatedChunks() the chunks held for the next.
+     */
+    const detect::ShadowMemory &keptShadow() const { return ft_shadow_; }
 
     /** One-shot convenience wrapper. */
     static RunResult runWith(Program &program, const SimConfig &config)

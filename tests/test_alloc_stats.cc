@@ -10,10 +10,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <thread>
 #include <vector>
+
+#include <sys/mman.h>
 
 #include "common/alloc_stats.hh"
 
@@ -95,10 +99,18 @@ TEST(AllocStats, PeakRssIsReportedAndResettable)
     // Lift the watermark well above the RSS the checks below run at
     // and free it again: in a fresh process RSS is at its all-time
     // high, and the pages the reset itself touches would otherwise
-    // push the fresh watermark past the old one.
+    // push the fresh watermark past the old one. The spike is an
+    // anonymous mapping, not a heap block, so unmapping it returns
+    // its pages at once; AddressSanitizer's allocator keeps a freed
+    // 64 MiB block resident.
     {
-        std::vector<char> spike(64 << 20, 1);
-        EXPECT_EQ(spike[spike.size() / 2], 1);
+        const std::size_t bytes = std::size_t{64} << 20;
+        void *spike = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                           MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+        ASSERT_NE(spike, MAP_FAILED);
+        std::memset(spike, 1, bytes);
+        EXPECT_EQ(static_cast<const char *>(spike)[bytes / 2], 1);
+        ASSERT_EQ(munmap(spike, bytes), 0);
     }
     const std::uint64_t peak = peakRssKb();
     EXPECT_GT(peak, 0u);

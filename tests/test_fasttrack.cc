@@ -402,7 +402,7 @@ TEST(FastTrack, BorrowedShadowIsPreparedAndShared)
     // The detector writes through to the caller's shadow.
     ASSERT_NE(shared.peek(kX), nullptr);
     EXPECT_EQ(shared.peek(kX)->w, Epoch(0, 1));
-    // And the prior job's chunk was revived in place.
+    // And the prior job's chunk page was re-taken, not allocated.
     EXPECT_EQ(shared.allocatedChunks(), 1u);
     EXPECT_EQ(shared.recycledChunks(), 1u);
 }

@@ -243,3 +243,106 @@ TEST(RadixTable, ResetAppliesToOverflowPagesToo)
     EXPECT_EQ(t.get(huge), 0u);
     EXPECT_EQ(t.recycledPages(), 1u);
 }
+
+TEST(RadixTable, DisjointGenerationsKeepTheLargerPageCount)
+{
+    SmallTable t;
+    // Generation 1: three pages; generation 2: two other pages.
+    for (std::uint64_t p = 0; p < 3; ++p)
+        t.get(p * SmallTable::kPageSize) = p + 1;
+    EXPECT_EQ(t.allocatedPages(), 3u);
+    t.reset();
+    for (std::uint64_t p = 10; p < 12; ++p) {
+        EXPECT_EQ(t.get(p * SmallTable::kPageSize), 0u);
+        t.get(p * SmallTable::kPageSize) = p;
+    }
+    // The second generation re-took two of the first one's pages.
+    EXPECT_EQ(t.pages(), 2u);
+    EXPECT_EQ(t.allocatedPages(), 3u);
+    EXPECT_EQ(t.recycledPages(), 2u);
+    // Overflow keys draw from the same arena.
+    t.reset();
+    const std::uint64_t huge = ~std::uint64_t{0};
+    for (std::uint64_t p = 0; p < 4; ++p)
+        t.get(huge - p * SmallTable::kPageSize) = p;
+    EXPECT_EQ(t.pages(), 4u);
+    EXPECT_EQ(t.allocatedPages(), 4u);
+}
+
+TEST(RadixTable, EntryOfAPageNowServingAnotherKeyIsAbsent)
+{
+    SmallTable t;
+    const std::uint64_t a = 2 * SmallTable::kPageSize + 1;
+    const std::uint64_t b = 5 * SmallTable::kPageSize + 3;
+    t.get(a) = 7;  // arena page 0
+    t.get(b) = 9;  // arena page 1
+    t.reset();
+    // b is touched first, so it takes arena page 0: a's directory
+    // entry still points there, at a page that now serves b.
+    t.get(b) = 11;
+    EXPECT_EQ(t.allocatedPages(), 2u);
+    EXPECT_EQ(t.peek(a), nullptr);
+    EXPECT_EQ(t.peek(a - 1), nullptr);
+    EXPECT_EQ(t.get(a), 0u);
+    EXPECT_EQ(t.get(a - 1), 0u);
+    EXPECT_EQ(t.get(b), 11u);
+    EXPECT_EQ(t.get(b - 3), 0u);
+    EXPECT_EQ(t.pages(), 2u);
+    EXPECT_EQ(t.allocatedPages(), 2u);
+}
+
+TEST(RadixTable, OverflowEntryOfAPageNowServingAnotherKeyIsAbsent)
+{
+    SmallTable t;
+    const std::uint64_t a = ~std::uint64_t{0};
+    const std::uint64_t b = a - 4 * SmallTable::kPageSize;
+    t.get(a) = 7;
+    t.get(b) = 9;
+    EXPECT_EQ(t.overflowPages(), 2u);
+    t.reset();
+    // b takes a's old page, which drops a's overflow entry; a then
+    // takes b's old page.
+    t.get(b) = 11;
+    EXPECT_EQ(t.peek(a), nullptr);
+    EXPECT_EQ(t.overflowPages(), 1u);
+    EXPECT_EQ(t.get(a), 0u);
+    EXPECT_EQ(t.get(b), 11u);
+    EXPECT_EQ(t.overflowPages(), 2u);
+    // A directory key re-taking an overflow key's page drops that
+    // entry too, so the map never outgrows the arena.
+    t.reset();
+    t.get(0) = 1;
+    t.get(SmallTable::kPageSize) = 2;
+    EXPECT_EQ(t.peek(a), nullptr);
+    EXPECT_EQ(t.peek(b), nullptr);
+    EXPECT_EQ(t.overflowPages(), 0u);
+    EXPECT_EQ(t.allocatedPages(), 2u);
+}
+
+TEST(RadixTable, ReferencesStayValidWithinAGeneration)
+{
+    SmallTable t;
+    for (std::uint64_t p = 0; p < 40; ++p)
+        t.get(p * SmallTable::kPageSize) = p;
+    t.reset();
+    // In a recycled generation, later materializations first re-take
+    // kept pages and then grow the arena past its end; neither may
+    // move a page an earlier get() of this generation returned.
+    std::uint64_t &dir_slot = t.get(1000);  // directory page 62
+    dir_slot = 77;
+    std::uint64_t &huge_slot = t.get(~std::uint64_t{0});
+    huge_slot = 88;
+    for (std::uint64_t p = 0; p < 60; ++p)
+        t.get(p * SmallTable::kPageSize) = p;
+    for (std::uint64_t p = 100; p < 120; ++p)  // overflow pages
+        t.get(p * SmallTable::kPageSize) = p;
+    EXPECT_EQ(t.pages(), 82u);
+    EXPECT_EQ(t.allocatedPages(), 82u);
+    EXPECT_EQ(t.recycledPages(), 40u);
+    EXPECT_EQ(dir_slot, 77u);
+    EXPECT_EQ(huge_slot, 88u);
+    EXPECT_EQ(&dir_slot, &t.get(1000));
+    EXPECT_EQ(&huge_slot, &t.get(~std::uint64_t{0}));
+    for (std::uint64_t p = 0; p < 60; ++p)
+        EXPECT_EQ(t.get(p * SmallTable::kPageSize), p);
+}

@@ -509,3 +509,64 @@ TEST(Simulator, KeptHierarchyIsRebuiltOnlyWhenItsConfigChanges)
     EXPECT_EQ(reseeded_kept,
               dumpOf(Simulator::runWith(*sparse(), reseeded)));
 }
+
+TEST(Simulator, KeptShadowFollowsTheLargestRunNotTheUnion)
+{
+    // One engine runs a sparse large job, a small racy job at
+    // addresses the large one never touched, and the large job again.
+    // Each dump and report list must equal a fresh engine's, and the
+    // shadow chunks kept across runs stay at the large job's count:
+    // the small job re-takes kept chunk pages instead of adding its
+    // own.
+    const auto dumpOf = [](const RunResult &r) {
+        std::ostringstream os;
+        r.dump(os);
+        for (const detect::RaceReport &report : r.reports.reports())
+            os << report << '\n';
+        return os.str();
+    };
+    // Lines 4 KiB apart over 8 MiB: about one shadow chunk per access.
+    const auto sparse = [] {
+        Builder b("sparse", 2);
+        const Region span = b.alloc(8u << 20);
+        for (ThreadId t = 0; t < 2; ++t)
+            b.sweep(t, span, 2048, 0.5, /*random=*/true, 4096);
+        return b.build();
+    };
+    const auto small = [] {
+        Builder b("small", 2);
+        b.alloc(16u << 20);  // never touched: past the sparse span
+        const Region scratch = b.alloc(16 * 1024);
+        const Region word = b.alloc(8);
+        for (ThreadId t = 0; t < 2; ++t) {
+            b.sweep(t, scratch.slice(t, 2), 2000, 0.3);
+            b.sweep(t, word, 50, 0.5);
+        }
+        return b.build();
+    };
+    SimConfig continuous;
+    continuous.mode = ToolMode::kContinuous;
+
+    Simulator engine(continuous);
+    const std::string sparse_kept = dumpOf(engine.run(*sparse()));
+    const std::size_t large = engine.keptShadow().chunks();
+    EXPECT_GT(large, 1000u);
+    EXPECT_EQ(engine.keptShadow().allocatedChunks(), large);
+
+    const RunResult small_result = engine.run(*small());
+    EXPECT_GT(small_result.reports.uniqueCount(), 0u);
+    const std::string small_kept = dumpOf(small_result);
+    EXPECT_GT(engine.keptShadow().chunks(), 0u);
+    EXPECT_LT(engine.keptShadow().chunks(), large);
+    EXPECT_EQ(engine.keptShadow().allocatedChunks(), large);
+
+    const std::string sparse_again = dumpOf(engine.run(*sparse()));
+    EXPECT_EQ(engine.keptShadow().chunks(), large);
+    EXPECT_EQ(engine.keptShadow().allocatedChunks(), large);
+
+    EXPECT_EQ(sparse_kept,
+              dumpOf(Simulator::runWith(*sparse(), continuous)));
+    EXPECT_EQ(small_kept,
+              dumpOf(Simulator::runWith(*small(), continuous)));
+    EXPECT_EQ(sparse_again, sparse_kept);
+}
