@@ -50,7 +50,7 @@ demoRealCounters()
         counter.start();
         volatile std::uint64_t sink = 0;
         for (int i = 0; i < 2000000; ++i)
-            sink += static_cast<std::uint64_t>(i) * 3;
+            sink = sink + static_cast<std::uint64_t>(i) * 3;
         counter.stop();
         const auto value = counter.read();
         std::printf("%-18s %llu\n", perf::hwEventName(event),

@@ -14,25 +14,21 @@
  * spill to a small overflow hash map so the table stays correct for
  * the full 64-bit key space without the directory ballooning.
  *
- * Pages are bump-allocated from contiguous arena chunks rather than
- * individually heap-allocated: pages touched close in time land close
- * in memory, so a working set of N pages spans ~N/16 allocator
- * objects and far fewer TLB entries than N scattered mallocs. Pages
- * never move or free until clear(), so references returned by get()
- * stay valid across later inserts until the next reset() or clear().
+ * Pages are borrowed from a thread-safe PagePool
+ * (common/page_pool.hh), one page per first-touched index. A table
+ * records the page indices it took, and reset() hands exactly those
+ * pages back and unbinds exactly their directory and overflow
+ * entries, in O(pages taken). A lookup therefore never reaches a page
+ * the table gave back, which another borrower of the same pool may
+ * be writing, and find() is one directory load. Pages never move
+ * while taken, so references returned by get() stay valid across
+ * later inserts until the next reset() or clear().
  *
- * Two reset flavours exist. clear() frees everything. reset() is the
- * recycling path for engine reuse across jobs: it bumps a generation
- * counter and rewinds the arena's bump cursor, both O(1). Each
- * generation then takes arena pages 0, 1, 2, ... again in first-touch
- * order, re-value-initializing each as it is taken, and allocates
- * only past the end of what earlier generations left. A page records
- * the generation and page index it was last taken for, and a
- * directory or overflow entry counts only while its page still
- * serves that index in the current generation. The storage kept
- * across generations is therefore the largest generation's page
- * count, not the union of every index any generation touched, while
- * observable behaviour matches a cleared table.
+ * A table given no pool makes a private one on first touch and frees
+ * it with the table (or at clear()): that pool holds exactly the
+ * largest page count any generation took, as a bump arena would.
+ * Tables that share one pool (every engine of a daemon) hold together
+ * only the pages borrowed at once.
  */
 
 #ifndef HDRD_COMMON_RADIX_TABLE_HH
@@ -43,10 +39,23 @@
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
+
+#include "common/page_pool.hh"
 
 namespace hdrd
 {
+
+/**
+ * One radix-table page: the unit a PagePool lends. Line-aligned, so
+ * two tables sharing a pool never write one host cache line.
+ */
+template <typename T, std::uint64_t kSlots>
+struct alignas(64) RadixPage
+{
+    std::array<T, kSlots> slots{};
+};
 
 /**
  * @tparam T          value type; value-initialized on first touch.
@@ -64,6 +73,27 @@ class RadixTable
     static constexpr std::uint64_t kPageMask = kPageSize - 1;
     static constexpr std::uint64_t kMaxDirPages = std::uint64_t{1}
         << kMaxDirBits;
+
+    using Page = RadixPage<T, kPageSize>;
+
+    /** Where pages come from; shareable across tables and threads. */
+    using Pool = PagePool<Page>;
+
+    /**
+     * @param pool pages to borrow; null makes a private pool on first
+     *        touch, freed with the table or by clear()
+     */
+    explicit RadixTable(Pool *pool = nullptr) : pool_(pool) {}
+
+    /** Hands every taken page back to a shared pool. */
+    ~RadixTable()
+    {
+        if (!owned_)
+            reset();
+    }
+
+    RadixTable(const RadixTable &) = delete;
+    RadixTable &operator=(const RadixTable &) = delete;
 
     /** Slot for @p key, materializing its page on first touch. */
     T &get(std::uint64_t key)
@@ -87,106 +117,102 @@ class RadixTable
         return page == nullptr ? nullptr : &page->slots[key & kPageMask];
     }
 
-    /** Number of live (current-generation) pages. */
-    std::size_t pages() const { return used_; }
+    /** Pages taken this generation. */
+    std::size_t pages() const { return taken_.size(); }
 
     /**
-     * Pages held in storage, live or awaiting recycling: the largest
-     * page count any generation since the last clear() took.
+     * Pages the pool holds, taken or free. A private pool holds the
+     * largest page count any generation since the last clear() took.
      */
-    std::size_t allocatedPages() const { return allocated_; }
+    std::size_t allocatedPages() const
+    {
+        return pool_ == nullptr ? 0 : pool_->pages();
+    }
 
-    /** Pages taken again from the arena instead of allocated. */
+    /** Pages taken again from the pool instead of newly carved. */
     std::uint64_t recycledPages() const { return recycled_; }
 
-    /** Overflow-map entries; each names a distinct kept page. */
+    /** Overflow-map entries; each names a page taken this generation. */
     std::size_t overflowPages() const { return overflow_.size(); }
 
-    /** Drop every page (full reset, storage freed). */
+    /** Drop every page; a private pool's storage is freed. */
     void clear()
     {
+        reset();
         dir_.clear();
-        overflow_.clear();
-        arena_.clear();
-        used_ = 0;
-        allocated_ = 0;
-        last_idx_ = kNoPage;
-        last_page_ = nullptr;
+        if (owned_) {
+            owned_.reset();
+            pool_ = nullptr;
+        }
     }
 
     /**
-     * Logically empty the table in O(1), keeping page storage for
-     * recycling. Afterwards pages() is 0 and peek() misses everywhere,
-     * exactly as after clear(); the next generation takes the kept
-     * pages again from the start of the arena, in first-touch order.
+     * Logically empty the table, handing every page it took back to
+     * the pool and unbinding exactly their entries: O(pages taken).
+     * Afterwards pages() is 0 and peek() misses everywhere, exactly as
+     * after clear().
      */
     void reset()
     {
-        ++gen_;
-        used_ = 0;
+        if (!taken_.empty()) {
+            // Unbind outside the pool's lock; each entry then names
+            // its page, and the lock covers only the hand-back.
+            for (TakenPage &t : taken_)
+                t.page = unbind(t.index);
+            pool_->give(taken_.size(),
+                        [this](std::size_t i) { return taken_[i].page; });
+            taken_.clear();
+            if (!overflow_.empty())
+                overflow_.clear();
+        }
         last_idx_ = kNoPage;
         last_page_ = nullptr;
     }
 
   private:
-    struct Page
-    {
-        std::array<T, kPageSize> slots{};
-
-        /** Generation this page was last taken in. */
-        std::uint64_t gen = 0;
-
-        /** Page index (key >> kPageBits) it was taken for. */
-        std::uint64_t index = 0;
-    };
-
-    /** Pages per arena chunk; chunks are contiguous Page[] blocks. */
-    static constexpr std::size_t kArenaChunkPages = 16;
-
     static constexpr std::uint64_t kNoPage = ~std::uint64_t{0};
 
-    /** The current generation's page for index @p p, else null. */
+    /** A page index taken this generation; its page once unbound. */
+    union TakenPage
+    {
+        std::uint64_t index;
+        Page *page;
+    };
+
+    /** The page bound to index @p p, else null. */
     Page *find(std::uint64_t p) const
     {
-        Page *page = nullptr;
-        if (p < kMaxDirPages) {
-            if (p < dir_.size())
-                page = dir_[p];
-        } else {
-            const auto it = overflow_.find(p);
-            if (it != overflow_.end())
-                page = it->second;
-        }
-        if (page == nullptr || page->gen != gen_ || page->index != p)
-            return nullptr;
-        return page;
+        if (p < kMaxDirPages)
+            return p < dir_.size() ? dir_[p] : nullptr;
+        const auto it = overflow_.find(p);
+        return it == overflow_.end() ? nullptr : it->second;
     }
 
     /**
-     * Take the arena page at the bump cursor for index @p p: a page an
-     * earlier generation left is wiped and unbound from its old
-     * overflow key; past the end, the arena grows by one page.
+     * Clear index @p p's directory entry and return its page; an
+     * overflow entry is read here and the map cleared after.
      */
+    Page *unbind(std::uint64_t p)
+    {
+        if (p < kMaxDirPages)
+            return std::exchange(dir_[p], nullptr);
+        return overflow_.find(p)->second;
+    }
+
+    /** Borrow a page for index @p p, wiped if another use left it. */
     Page *takePage(std::uint64_t p)
     {
-        const std::size_t at = used_++;
-        if (at == arena_.size() * kArenaChunkPages)
-            arena_.push_back(std::make_unique<Page[]>(kArenaChunkPages));
-        Page *page = &arena_[at / kArenaChunkPages][at % kArenaChunkPages];
-        if (at < allocated_) {
-            if (page->index >= kMaxDirPages) {
-                const auto it = overflow_.find(page->index);
-                if (it != overflow_.end() && it->second == page)
-                    overflow_.erase(it);
-            }
-            page->slots.fill(T{});
-            ++recycled_;
-        } else {
-            ++allocated_;
+        if (pool_ == nullptr) {
+            owned_ = std::make_unique<Pool>();
+            pool_ = owned_.get();
         }
-        page->gen = gen_;
-        page->index = p;
-        return page;
+        const typename Pool::Taken taken = pool_->take();
+        if (taken.recycled) {
+            taken.page->slots.fill(T{});
+            ++recycled_;
+        }
+        taken_.push_back({p});
+        return taken.page;
     }
 
     Page *materialize(std::uint64_t p)
@@ -210,29 +236,22 @@ class RadixTable
         return page;
     }
 
-    /**
-     * Flat directory: page index -> the arena page last taken for it
-     * (null until touched; stale once that page serves another index
-     * or generation).
-     */
+    /** Flat directory: page index -> its taken page (null if none). */
     std::vector<Page *> dir_;
 
     /** Pages whose index exceeds the directory ceiling. */
     std::unordered_map<std::uint64_t, Page *> overflow_;
 
-    /** Contiguous chunks all pages live in; dropped only by clear(). */
-    std::vector<std::unique_ptr<Page[]>> arena_;
+    /** Page indices taken this generation, in first-touch order. */
+    std::vector<TakenPage> taken_;
 
-    /** Bump cursor: pages taken this generation, arena[0, used_). */
-    std::size_t used_ = 0;
+    /** The pool pages come from: a shared one, or owned_. */
+    Pool *pool_;
 
-    /** Pages ever handed out since clear(): arena[0, allocated_). */
-    std::size_t allocated_ = 0;
+    /** The private pool, when no shared one was given. */
+    std::unique_ptr<Pool> owned_;
 
     std::uint64_t recycled_ = 0;
-
-    /** Current generation; pages taken in older ones are stale. */
-    std::uint64_t gen_ = 0;
 
     /** Last-page memo: streaming accesses skip the directory walk. */
     std::uint64_t last_idx_ = kNoPage;

@@ -17,8 +17,11 @@ checkShift(std::uint32_t granule_shift)
 
 } // namespace
 
-ShadowMemory::ShadowMemory(std::uint32_t granule_shift)
-    : granule_shift_(granule_shift)
+ShadowMemory::ShadowMemory(std::uint32_t granule_shift,
+                           ShadowPool *pool)
+    : granule_shift_(granule_shift),
+      table_(pool == nullptr ? nullptr : &pool->states),
+      sites_(pool == nullptr ? nullptr : &pool->sites)
 {
     checkShift(granule_shift);
 }

@@ -21,11 +21,16 @@
  *
  * Read-shared variables reference their vector clock by pool index
  * rather than pointer: inflation and collapse recycle pooled clocks
- * instead of hitting the allocator, and clear() retires chunks and
- * clocks in O(1) for reuse by the next job. The next job re-takes the
- * retired chunks in its own first-touch order, whatever addresses
- * they last shadowed, so an engine kept across jobs holds its largest
- * job's chunk count, not every chunk any job touched.
+ * instead of hitting the allocator, and clear() reclaims every clock
+ * in place for the next job.
+ *
+ * Chunk pages are borrowed from a ShadowPool and clear() hands them
+ * back, in O(chunks taken). A shadow built without a pool borrows
+ * from private ones, which hold its largest run's chunks and are
+ * freed with it. The daemon passes one ShadowPool to every engine it
+ * runs, and each engine hands its chunks back when its run ends, so
+ * the daemon holds the chunks of the runs in flight, not each
+ * engine's largest.
  */
 
 #ifndef HDRD_DETECT_SHADOW_HH
@@ -113,7 +118,15 @@ inline constexpr std::uint32_t kShadowChunkBits = 5;
  */
 class SiteTable
 {
+    struct Packed;
+
   public:
+    /** Where the table's chunk pages come from. */
+    using Pool = RadixTable<Packed, kShadowChunkBits>::Pool;
+
+    /** @param pool shared chunk pages; null = a private pool */
+    explicit SiteTable(Pool *pool = nullptr) : table_(pool) {}
+
     /** Site for the last write to granule @p g (kInvalidSite if none). */
     SiteId writeSite(std::uint64_t g) const
     {
@@ -138,7 +151,7 @@ class SiteTable
         pack(table_.get(g).r, big_r_, g, site);
     }
 
-    /** Retire every entry in O(1), keeping storage for recycling. */
+    /** Retire every entry, handing its chunk pages back. */
     void reset()
     {
         table_.reset();
@@ -211,6 +224,22 @@ class SiteTable
 };
 
 /**
+ * The chunk pages shadows borrow: one pool per table kind. Thread-
+ * safe; it must outlive every ShadowMemory built over it.
+ */
+struct ShadowPool
+{
+    RadixTable<VarState, kShadowChunkBits>::Pool states;
+    SiteTable::Pool sites;
+
+    /** Hot-table chunks held: the most borrowed at once. */
+    std::size_t chunks() const { return states.pages(); }
+
+    /** Hot-table chunks on loan now. */
+    std::size_t borrowed() const { return states.borrowed(); }
+};
+
+/**
  * Lazily materialized shadow memory.
  */
 class ShadowMemory
@@ -219,8 +248,11 @@ class ShadowMemory
     /**
      * @param granule_shift log2 of the detection granule in bytes
      *        (3 = 8-byte words).
+     * @param pool chunk pages to borrow; null = private pools, freed
+     *        with this shadow
      */
-    explicit ShadowMemory(std::uint32_t granule_shift = 3);
+    explicit ShadowMemory(std::uint32_t granule_shift = 3,
+                          ShadowPool *pool = nullptr);
 
     /** Shadow state for the granule containing @p addr. */
     VarState &state(Addr addr)
@@ -283,28 +315,27 @@ class ShadowMemory
     std::size_t chunks() const { return table_.pages(); }
 
     /**
-     * Chunks held in storage (live + retired): the most any run
-     * since construction took.
+     * Chunks the pool holds, live or free. A private pool holds the
+     * most any run since construction took.
      */
     std::size_t allocatedChunks() const
     {
         return table_.allocatedPages();
     }
 
-    /** Chunks re-taken from storage instead of allocated. */
+    /** Chunks re-taken from the pool instead of newly carved. */
     std::uint64_t recycledChunks() const
     {
         return table_.recycledPages();
     }
 
-    /** Kept chunks bound in the overflow map, not the directory. */
+    /** Live chunks bound in the overflow map, not the directory. */
     std::size_t overflowChunks() const { return table_.overflowPages(); }
 
     /**
-     * Retire every chunk, site entry, and pooled clock. O(1) in the
-     * table size: chunk storage and clock capacity stay parked for
-     * the next run instead of going back to the allocator, and that
-     * run takes the parked chunks for whatever granules it touches.
+     * Retire every chunk, site entry, and pooled clock: the chunk
+     * pages go back to their pool in O(chunks), and clock capacity
+     * stays parked for the next run.
      */
     void clear()
     {

@@ -35,7 +35,9 @@ struct GtState
 
 } // namespace
 
-Simulator::Simulator(const SimConfig &config) : config_(config)
+Simulator::Simulator(const SimConfig &config,
+                     detect::ShadowPool *shadow_pool)
+    : config_(config), ft_shadow_(3, shadow_pool)
 {
     if (config_.threads_per_core == 0)
         fatal("threads_per_core must be positive");
@@ -126,12 +128,23 @@ Simulator::runImpl(Program &program, RunObserver *observer)
         detector = std::make_unique<detect::LocksetDetector>(
             result.reports, granule_shift);
     } else {
-        // Borrow the engine's persistent shadow: the ctor retires any
-        // previous run's state in O(1) and recycles its chunk pages
-        // and pooled read clocks for this run.
+        // Borrow the engine's kept shadow; its chunk pages come from
+        // the shadow pool as this run touches them.
         detector = std::make_unique<detect::FastTrackDetector>(
             clocks, result.reports, ft_shadow_, granule_shift);
     }
+    // Hand the chunks back when the run ends, by return or by panic,
+    // so a pool shared by several engines holds only runs in flight.
+    struct ShadowReturn
+    {
+        Simulator &sim;
+        ~ShadowReturn()
+        {
+            sim.last_run_chunks_ = sim.ft_shadow_.chunks();
+            sim.ft_shadow_.clear();
+        }
+    };
+    const ShadowReturn shadow_return{*this};
     // Devirtualized fast path: FastTrackDetector is final, so calls
     // through this pointer bind directly (no vtable dispatch on the
     // default detector's per-access path).

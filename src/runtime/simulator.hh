@@ -239,11 +239,13 @@ struct RunObserver
  * built state. Two pieces of *storage* persist, each reset in place
  * rather than rebuilt, so a long-lived engine (one per service
  * worker) stops paying the allocator and a full clear per job:
- *   - the FastTrack shadow memory, whose pooled read clocks and chunk
- *     pages each run borrows after an O(1) recycling reset. A run
- *     re-takes kept chunk pages in first-touch order whatever their
- *     addresses, so the shadow kept is the largest run's chunk count,
- *     not every chunk any past run touched;
+ *   - the FastTrack shadow memory: its directory and pooled read
+ *     clocks stay, and its chunk pages are borrowed from a
+ *     detect::ShadowPool for one run and handed back when the run
+ *     ends, by return or by panic. An engine built without a pool
+ *     borrows from private ones, which hold its largest run's chunks
+ *     and are freed with it; engines that share a pool (a daemon's)
+ *     hold together only the chunks of the runs in flight;
  *   - the simulated cache hierarchy, reset in O(ncores) (its caches
  *     clear a set where the next run first fills it) and rebuilt only
  *     when a run's SimConfig::mem differs from the kept one's.
@@ -251,7 +253,13 @@ struct RunObserver
 class Simulator
 {
   public:
-    explicit Simulator(const SimConfig &config);
+    /**
+     * @param shadow_pool chunk pages the FastTrack shadow borrows for
+     *        each run; it must outlive the engine. Null gives the
+     *        engine private pools.
+     */
+    explicit Simulator(const SimConfig &config,
+                       detect::ShadowPool *shadow_pool = nullptr);
 
     /**
      * Execute @p program to completion and report. Internally
@@ -283,10 +291,13 @@ class Simulator
 
     /**
      * The FastTrack shadow kept across runs (testing hook): after a
-     * run, chunks() is that run's live chunk count and
-     * allocatedChunks() the chunks held for the next.
+     * run its chunks() is 0, every chunk handed back, and
+     * allocatedChunks() is what its pool holds.
      */
     const detect::ShadowMemory &keptShadow() const { return ft_shadow_; }
+
+    /** Chunks the last run's FastTrack shadow handed back (testing). */
+    std::size_t lastRunShadowChunks() const { return last_run_chunks_; }
 
     /** One-shot convenience wrapper. */
     static RunResult runWith(Program &program, const SimConfig &config)
@@ -305,8 +316,9 @@ class Simulator
 
     SimConfig config_;
 
-    /** Persistent FastTrack shadow scratch, recycled per run. */
+    /** FastTrack shadow kept across runs; chunks borrowed per run. */
     detect::ShadowMemory ft_shadow_;
+    std::size_t last_run_chunks_ = 0;
 
     /** Persistent simulated caches; built by the first run(). */
     std::optional<mem::Hierarchy> hier_;

@@ -314,8 +314,8 @@ Server::start(std::string &err)
 
     engines_.reserve(pool_->workers());
     for (std::uint32_t w = 0; w < pool_->workers(); ++w)
-        engines_.push_back(
-            std::make_unique<runtime::Simulator>(config_.base));
+        engines_.push_back(std::make_unique<runtime::Simulator>(
+            config_.base, &shadow_pool_));
 
     std::uint32_t nshards = config_.io_shards;
     if (nshards == 0) {
@@ -574,6 +574,8 @@ Server::streamOpen(Connection &conn, std::uint64_t job_id,
         stream_config.partial_interval =
             config_.partial_interval_ops;
         stream_config.metrics = &metrics_;
+        stream_config.op_blocks = &op_blocks_;
+        stream_config.shadow_pool = &shadow_pool_;
 
         const std::uint64_t conn_id = conn.id();
         stream::StreamCallbacks callbacks;
@@ -709,6 +711,7 @@ Server::openJob(std::uint64_t job_id, const JobOptions &options,
     job.trace_bytes = trace_bytes;
     job.partial_interval = 0;
     job.metrics = &metrics_;
+    job.op_blocks = &op_blocks_;
     return std::make_shared<stream::StreamSession>(std::move(job));
 }
 

@@ -14,7 +14,15 @@
  * worker, never shared; overload answers JOB_BUSY + a retry-after
  * hint instead of queueing unboundedly. A SUBMIT_STREAM runs on its
  * session's own engine thread, so a slow uploader never holds a
- * worker. Both run through StreamSession::run(). Completions are
+ * worker. Both run through StreamSession::run().
+ *
+ * Memory follows the jobs in flight: every engine the daemon runs,
+ * pool workers' and stream sessions' alike, borrows its FastTrack
+ * shadow chunks from one detect::ShadowPool for a run and hands them
+ * back when the run ends, and every session borrows its op blocks
+ * from one stream::OpBlockPool. Each pool grows to the most pages
+ * borrowed at once, not to the sum of each engine's largest job, and
+ * keeps them resident for the next job. Completions are
  * marshalled back to the owning shard through a wake-pipe inbox,
  * which is what lets one connection carry many jobs with
  * out-of-order, job-id-correlated responses.
@@ -44,16 +52,13 @@
 #include <utility>
 #include <vector>
 
+#include "detect/shadow.hh"
 #include "runtime/simulator.hh"
 #include "service/event_loop.hh"
 #include "service/metrics.hh"
 #include "service/protocol.hh"
 #include "service/worker_pool.hh"
-
-namespace hdrd::stream
-{
-class StreamSession;
-}
+#include "stream/stream_session.hh"
 
 namespace hdrd::service
 {
@@ -308,6 +313,14 @@ class Server
 
     ServerConfig config_;
     Metrics metrics_;
+
+    /**
+     * Shadow chunks and op blocks every engine and session borrows;
+     * declared first so they outlive all of them.
+     */
+    detect::ShadowPool shadow_pool_;
+    stream::OpBlockPool op_blocks_;
+
     std::unique_ptr<WorkerPool> pool_;
 
     /** One reusable analysis engine per worker, never shared. */

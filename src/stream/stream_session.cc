@@ -85,14 +85,14 @@ class StreamSession::ReplayBody : public runtime::ThreadBody
                 return false;
             next_ = block_->ops.data() + block_->read;
             end_ = block_->ops.data() + block_->written;
-            block_ = block_->next.get();
+            block_ = block_->next;
         }
         op = *next_++;
         return true;
     }
 
   private:
-    const OpQueue::Block *block_;
+    const OpBlock *block_;
     const runtime::Op *next_ = nullptr;
     const runtime::Op *end_ = nullptr;
 };
@@ -130,7 +130,12 @@ class StreamSession::EngineProgram : public runtime::Program
 
 StreamSession::StreamSession(StreamConfig config,
                              StreamCallbacks callbacks)
-    : config_(std::move(config)), callbacks_(std::move(callbacks))
+    : config_(std::move(config)), callbacks_(std::move(callbacks)),
+      own_blocks_(config_.op_blocks == nullptr
+                      ? std::make_unique<OpBlockPool>()
+                      : nullptr),
+      blocks_(config_.op_blocks != nullptr ? config_.op_blocks
+                                           : own_blocks_.get())
 {
     hdrdAssert(config_.buffer_cap >= sizeof(trace::TraceHeader),
                "stream buffer cap smaller than a trace header");
@@ -161,7 +166,7 @@ StreamSession::start()
     }
     fireCredit(config_.buffer_cap);
     engine_ = std::thread([this] {
-        runtime::Simulator engine(config_.base);
+        runtime::Simulator engine(config_.base, config_.shadow_pool);
         const StreamFinal final = run(engine);
         if (callbacks_.on_done)
             callbacks_.on_done(final.ok, final.json);
@@ -284,7 +289,9 @@ StreamSession::drainLocked()
             rejectLocked("trace carries unusable fault spec: " + err);
             return;
         }
-        queues_ = std::vector<OpQueue>(nthreads_);
+        queues_.reserve(nthreads_);
+        for (std::uint32_t t = 0; t < nthreads_; ++t)
+            queues_.emplace_back(*blocks_);
         header_ready_ = true;
         cv_.notify_all();
     }

@@ -23,7 +23,8 @@
  *    next() until ingestion catches up, and nextIsPure() == false
  *    keeps the simulator from fetching ahead into a body that may
  *    block. The resident footprint is bounded by the credit window
- *    instead of the trace length: a block is freed once drained.
+ *    instead of the trace length: a block goes back to the pool
+ *    once drained.
  *
  * Flow control (started sessions) is cumulative byte credit: the
  * client may have sent at most `granted` bytes in total, and the
@@ -68,7 +69,9 @@
 #include <utility>
 #include <vector>
 
+#include "common/page_pool.hh"
 #include "common/types.hh"
+#include "detect/shadow.hh"
 #include "pmu/faults.hh"
 #include "runtime/op.hh"
 #include "runtime/simulator.hh"
@@ -82,6 +85,28 @@ class Metrics;
 
 namespace hdrd::stream
 {
+
+/** A block of parsed operations (32 KiB): the unit of an OpQueue. */
+struct OpBlock
+{
+    static constexpr std::uint32_t kOps = 1024;
+
+    std::array<runtime::Op, kOps> ops;
+
+    /** Slots popped ([0, read)) and pushed ([0, written)). */
+    std::uint32_t read = 0;
+    std::uint32_t written = 0;
+
+    OpBlock *next = nullptr;
+};
+
+/**
+ * Op blocks shared by the sessions of one daemon: a block a worker
+ * drains or frees goes back to the pool for the next upload instead
+ * of to the allocator, whose arena trimming would make the uploading
+ * thread fault the memory in again.
+ */
+using OpBlockPool = PagePool<OpBlock, 1>;
 
 /** Everything a StreamSession is parameterized by. */
 struct StreamConfig
@@ -115,6 +140,15 @@ struct StreamConfig
 
     /** Observability registry (nullptr = unmonitored). */
     service::Metrics *metrics = nullptr;
+
+    /** Op blocks to borrow (nullptr = a pool of the session's own). */
+    OpBlockPool *op_blocks = nullptr;
+
+    /**
+     * Shadow pages a started session's own engine borrows (nullptr =
+     * the engine's own pools).
+     */
+    detect::ShadowPool *shadow_pool = nullptr;
 };
 
 /**
@@ -256,33 +290,31 @@ class StreamSession
 
     /**
      * One thread's parsed-but-unexecuted operations: a FIFO of
-     * fixed-size blocks. push() appends to the last block and pop()
-     * frees a block once it is drained, so a stream's memory follows
-     * its credit window with under a block of slack at either end of
-     * a thread's queue; an empty queue allocates nothing.
+     * OpBlocks borrowed from the session's pool. push() appends to
+     * the last block and pop() hands a block back once it is drained,
+     * so a stream's memory follows its credit window with under a
+     * block of slack at either end of a thread's queue; an empty
+     * queue holds nothing.
      */
     class OpQueue
     {
       public:
-        /** Operations per block (32 KiB). */
-        static constexpr std::uint32_t kBlockOps = 1024;
+        explicit OpQueue(OpBlockPool &blocks) : blocks_(&blocks) {}
 
-        struct Block
+        OpQueue(OpQueue &&other) noexcept
+            : blocks_(other.blocks_),
+              head_(std::exchange(other.head_, nullptr)),
+              tail_(std::exchange(other.tail_, nullptr))
         {
-            std::array<runtime::Op, kBlockOps> ops;
+        }
 
-            /** Slots popped ([0, read)) and pushed ([0, written)). */
-            std::uint32_t read = 0;
-            std::uint32_t written = 0;
+        OpQueue &operator=(OpQueue &&) = delete;
 
-            std::unique_ptr<Block> next;
-        };
-
-        /** Frees the chain one block at a time (no recursion). */
+        /** Hands every block back to the pool. */
         ~OpQueue()
         {
             while (head_ != nullptr)
-                head_ = std::move(head_->next);
+                blocks_->give(std::exchange(head_, head_->next));
         }
 
         bool empty() const
@@ -292,12 +324,13 @@ class StreamSession
 
         void push(const runtime::Op &op)
         {
-            if (tail_ == nullptr || tail_->written == kBlockOps) {
-                auto block = std::make_unique<Block>();
-                Block *const last = block.get();
-                (tail_ == nullptr ? head_ : tail_->next) =
-                    std::move(block);
-                tail_ = last;
+            if (tail_ == nullptr || tail_->written == OpBlock::kOps) {
+                OpBlock *const block = blocks_->take().page;
+                block->read = 0;
+                block->written = 0;
+                block->next = nullptr;
+                (tail_ == nullptr ? head_ : tail_->next) = block;
+                tail_ = block;
             }
             tail_->ops[tail_->written++] = op;
         }
@@ -306,8 +339,8 @@ class StreamSession
         runtime::Op pop()
         {
             const runtime::Op op = head_->ops[head_->read++];
-            if (head_->read == kBlockOps) {
-                head_ = std::move(head_->next);
+            if (head_->read == OpBlock::kOps) {
+                blocks_->give(std::exchange(head_, head_->next));
                 if (head_ == nullptr)
                     tail_ = nullptr;
             }
@@ -315,11 +348,12 @@ class StreamSession
         }
 
         /** The oldest block, for an in-place walk (nullptr: empty). */
-        const Block *front() const { return head_.get(); }
+        const OpBlock *front() const { return head_; }
 
       private:
-        std::unique_ptr<Block> head_;
-        Block *tail_ = nullptr;
+        OpBlockPool *blocks_;
+        OpBlock *head_ = nullptr;
+        OpBlock *tail_ = nullptr;
     };
 
     class EngineProgram;
@@ -365,6 +399,12 @@ class StreamSession
      * these are trailing garbage, which end() refuses.
      */
     std::uint64_t trailing_ = 0;
+
+    /** The session's own block pool, when the config names none. */
+    std::unique_ptr<OpBlockPool> own_blocks_;
+
+    /** Where queues_ borrow blocks: config_.op_blocks or own_blocks_. */
+    OpBlockPool *blocks_;
 
     /** Parsed-but-unexecuted operations, per thread. */
     std::vector<OpQueue> queues_;

@@ -40,7 +40,7 @@ TEST(Perf, CountingInstructionsIfAvailable)
     // Burn some instructions.
     volatile std::uint64_t sink = 0;
     for (int i = 0; i < 100000; ++i)
-        sink += static_cast<std::uint64_t>(i);
+        sink = sink + static_cast<std::uint64_t>(i);
     ASSERT_TRUE(counter.stop());
     const auto value = counter.read();
     ASSERT_TRUE(value.has_value());

@@ -176,7 +176,8 @@ TEST(RadixTable, ResetLogicallyEmptiesInPlace)
     EXPECT_EQ(t.pages(), 0u);
     EXPECT_EQ(t.peek(1), nullptr);
     EXPECT_EQ(t.peek(SmallTable::kPageSize * 2), nullptr);
-    // ...but the storage is parked, not freed.
+    // ...but the pages went back to the table's private pool, which
+    // keeps them.
     EXPECT_EQ(t.allocatedPages(), 2u);
 }
 
@@ -185,12 +186,12 @@ TEST(RadixTable, ResetRecyclesPagesOnNextTouch)
     SmallTable t;
     t.get(3) = 42;
     t.reset();
-    // Reviving re-value-initializes the slots in place.
+    // A page re-taken from the pool is wiped first.
     EXPECT_EQ(t.get(3), 0u);
     EXPECT_EQ(t.pages(), 1u);
     EXPECT_EQ(t.allocatedPages(), 1u);
     EXPECT_EQ(t.recycledPages(), 1u);
-    // A page never touched since allocation is not "recycled".
+    // A page newly carved from the pool is not "recycled".
     t.get(SmallTable::kPageSize * 5) = 1;
     EXPECT_EQ(t.recycledPages(), 1u);
 }
@@ -205,7 +206,7 @@ TEST(RadixTable, ResetCyclesPreserveSemanticsAcrossGenerations)
         }
         t.reset();
     }
-    // Five cycles over one page: allocated once, recycled each revive.
+    // Five cycles over one page: carved once, re-taken each cycle.
     EXPECT_EQ(t.allocatedPages(), 1u);
     EXPECT_EQ(t.recycledPages(), 4u);
 }
@@ -260,7 +261,7 @@ TEST(RadixTable, DisjointGenerationsKeepTheLargerPageCount)
     EXPECT_EQ(t.pages(), 2u);
     EXPECT_EQ(t.allocatedPages(), 3u);
     EXPECT_EQ(t.recycledPages(), 2u);
-    // Overflow keys draw from the same arena.
+    // Overflow keys draw from the same pool.
     t.reset();
     const std::uint64_t huge = ~std::uint64_t{0};
     for (std::uint64_t p = 0; p < 4; ++p)
@@ -274,12 +275,14 @@ TEST(RadixTable, EntryOfAPageNowServingAnotherKeyIsAbsent)
     SmallTable t;
     const std::uint64_t a = 2 * SmallTable::kPageSize + 1;
     const std::uint64_t b = 5 * SmallTable::kPageSize + 3;
-    t.get(a) = 7;  // arena page 0
-    t.get(b) = 9;  // arena page 1
+    std::uint64_t *const a_slot = &t.get(a);  // pool page 0
+    *a_slot = 7;
+    t.get(b) = 9;  // pool page 1
     t.reset();
-    // b is touched first, so it takes arena page 0: a's directory
-    // entry still points there, at a page that now serves b.
+    // reset() unbound both entries, so b, touched first, re-takes
+    // pool page 0, the one a's entry used to name.
     t.get(b) = 11;
+    EXPECT_EQ(&t.get(b), a_slot + 2);
     EXPECT_EQ(t.allocatedPages(), 2u);
     EXPECT_EQ(t.peek(a), nullptr);
     EXPECT_EQ(t.peek(a - 1), nullptr);
@@ -300,17 +303,19 @@ TEST(RadixTable, OverflowEntryOfAPageNowServingAnotherKeyIsAbsent)
     t.get(b) = 9;
     EXPECT_EQ(t.overflowPages(), 2u);
     t.reset();
-    // b takes a's old page, which drops a's overflow entry; a then
-    // takes b's old page.
+    // reset() unbound both overflow entries; b then takes a's old
+    // page and a takes b's.
+    EXPECT_EQ(t.overflowPages(), 0u);
     t.get(b) = 11;
     EXPECT_EQ(t.peek(a), nullptr);
     EXPECT_EQ(t.overflowPages(), 1u);
     EXPECT_EQ(t.get(a), 0u);
     EXPECT_EQ(t.get(b), 11u);
     EXPECT_EQ(t.overflowPages(), 2u);
-    // A directory key re-taking an overflow key's page drops that
-    // entry too, so the map never outgrows the arena.
+    // Directory keys re-taking the overflow keys' pages find the map
+    // already empty: it only ever names pages taken this generation.
     t.reset();
+    EXPECT_EQ(t.overflowPages(), 0u);
     t.get(0) = 1;
     t.get(SmallTable::kPageSize) = 2;
     EXPECT_EQ(t.peek(a), nullptr);
@@ -326,8 +331,8 @@ TEST(RadixTable, ReferencesStayValidWithinAGeneration)
         t.get(p * SmallTable::kPageSize) = p;
     t.reset();
     // In a recycled generation, later materializations first re-take
-    // kept pages and then grow the arena past its end; neither may
-    // move a page an earlier get() of this generation returned.
+    // pooled pages and then carve new ones; neither may move a page
+    // an earlier get() of this generation returned.
     std::uint64_t &dir_slot = t.get(1000);  // directory page 62
     dir_slot = 77;
     std::uint64_t &huge_slot = t.get(~std::uint64_t{0});
@@ -345,4 +350,67 @@ TEST(RadixTable, ReferencesStayValidWithinAGeneration)
     EXPECT_EQ(&huge_slot, &t.get(~std::uint64_t{0}));
     for (std::uint64_t p = 0; p < 60; ++p)
         EXPECT_EQ(t.get(p * SmallTable::kPageSize), p);
+}
+
+TEST(RadixTable, ResetUnbindsExactlyThePagesItTook)
+{
+    // Two tables borrow from one pool. A page one hands back may at
+    // once serve the other, so reset() must leave no entry that
+    // still reaches it.
+    SmallTable::Pool pool;
+    SmallTable first(&pool);
+    SmallTable second(&pool);
+    const std::uint64_t huge = ~std::uint64_t{0};
+    first.get(1) = 7;
+    first.get(SmallTable::kPageSize * 9) = 8;
+    first.get(huge) = 9;
+    EXPECT_EQ(pool.borrowed(), 3u);
+    first.reset();
+    EXPECT_EQ(pool.borrowed(), 0u);
+    EXPECT_EQ(first.pages(), 0u);
+    EXPECT_EQ(first.overflowPages(), 0u);
+    EXPECT_EQ(first.peek(1), nullptr);
+    EXPECT_EQ(first.peek(SmallTable::kPageSize * 9), nullptr);
+    EXPECT_EQ(first.peek(huge), nullptr);
+
+    // The other table re-takes the three pages, wiped, for its own
+    // keys; writes through it never show in the first.
+    for (std::uint64_t k : {std::uint64_t{1}, SmallTable::kPageSize * 9,
+                            huge}) {
+        EXPECT_EQ(second.get(k), 0u);
+        second.get(k) = 100;
+        EXPECT_EQ(first.peek(k), nullptr);
+    }
+    EXPECT_EQ(second.recycledPages(), 3u);
+    EXPECT_EQ(pool.pages(), 3u);
+
+    // The first table takes new pages beside them, not theirs.
+    first.get(1) = 5;
+    EXPECT_EQ(second.get(1), 100u);
+    EXPECT_EQ(pool.pages(), 4u);
+    EXPECT_EQ(first.allocatedPages(), 4u);
+}
+
+TEST(RadixTable, SharedPoolHoldsThePagesBorrowedAtOnce)
+{
+    // Tables that take their pages one after another share them; a
+    // table destroyed while holding pages hands them back.
+    SmallTable::Pool pool;
+    {
+        SmallTable big(&pool);
+        for (std::uint64_t p = 0; p < 6; ++p)
+            big.get(p * SmallTable::kPageSize) = p;
+        big.reset();
+        SmallTable small(&pool);
+        for (std::uint64_t p = 20; p < 24; ++p)
+            small.get(p * SmallTable::kPageSize) = p;
+        EXPECT_EQ(pool.pages(), 6u);
+        EXPECT_EQ(pool.borrowed(), 4u);
+        for (std::uint64_t p = 30; p < 33; ++p)
+            big.get(p * SmallTable::kPageSize) = p;
+        EXPECT_EQ(pool.pages(), 7u);
+        EXPECT_EQ(pool.borrowed(), 7u);
+    }
+    EXPECT_EQ(pool.borrowed(), 0u);
+    EXPECT_EQ(pool.pages(), 7u);
 }

@@ -130,10 +130,15 @@ TEST(Shadow, OverflowMapStartsAt256MiB)
     EXPECT_EQ(shadow.peek(boundary - 8)->w, Epoch(1, 4));
     EXPECT_EQ(shadow.peek(boundary)->w, Epoch(2, 6));
     // A coarser granule moves the boundary up in bytes, not granules.
+    // Retiring the chunks unbound their overflow entry too.
     shadow.prepare(6);
+    EXPECT_EQ(shadow.overflowChunks(), 0u);
     shadow.state((ShadowMemory::kOverflowGranule << 6) - 64);
-    EXPECT_EQ(shadow.overflowChunks(), 1u);  // held from before
+    EXPECT_EQ(shadow.overflowChunks(), 0u);
     EXPECT_EQ(shadow.chunks(), 1u);
+    shadow.state(ShadowMemory::kOverflowGranule << 6);
+    EXPECT_EQ(shadow.overflowChunks(), 1u);
+    EXPECT_EQ(shadow.chunks(), 2u);
 }
 
 TEST(Shadow, HugeSparseAddressIsTracked)

@@ -514,10 +514,10 @@ TEST(Simulator, KeptShadowFollowsTheLargestRunNotTheUnion)
 {
     // One engine runs a sparse large job, a small racy job at
     // addresses the large one never touched, and the large job again.
-    // Each dump and report list must equal a fresh engine's, and the
-    // shadow chunks kept across runs stay at the large job's count:
-    // the small job re-takes kept chunk pages instead of adding its
-    // own.
+    // Each dump and report list must equal a fresh engine's. Every
+    // run hands all its shadow chunks back to the engine's private
+    // pool when it ends, and the pool holds the large job's count:
+    // the small job re-takes pooled chunks instead of adding its own.
     const auto dumpOf = [](const RunResult &r) {
         std::ostringstream os;
         r.dump(os);
@@ -549,20 +549,28 @@ TEST(Simulator, KeptShadowFollowsTheLargestRunNotTheUnion)
 
     Simulator engine(continuous);
     const std::string sparse_kept = dumpOf(engine.run(*sparse()));
-    const std::size_t large = engine.keptShadow().chunks();
+    const std::size_t large = engine.lastRunShadowChunks();
     EXPECT_GT(large, 1000u);
+    EXPECT_EQ(engine.keptShadow().chunks(), 0u);
     EXPECT_EQ(engine.keptShadow().allocatedChunks(), large);
+    EXPECT_EQ(engine.keptShadow().recycledChunks(), 0u);
 
     const RunResult small_result = engine.run(*small());
     EXPECT_GT(small_result.reports.uniqueCount(), 0u);
     const std::string small_kept = dumpOf(small_result);
-    EXPECT_GT(engine.keptShadow().chunks(), 0u);
-    EXPECT_LT(engine.keptShadow().chunks(), large);
+    const std::size_t small_chunks = engine.lastRunShadowChunks();
+    EXPECT_GT(small_chunks, 0u);
+    EXPECT_LT(small_chunks, large);
+    EXPECT_EQ(engine.keptShadow().chunks(), 0u);
     EXPECT_EQ(engine.keptShadow().allocatedChunks(), large);
+    EXPECT_EQ(engine.keptShadow().recycledChunks(), small_chunks);
 
     const std::string sparse_again = dumpOf(engine.run(*sparse()));
-    EXPECT_EQ(engine.keptShadow().chunks(), large);
+    EXPECT_EQ(engine.lastRunShadowChunks(), large);
+    EXPECT_EQ(engine.keptShadow().chunks(), 0u);
     EXPECT_EQ(engine.keptShadow().allocatedChunks(), large);
+    EXPECT_EQ(engine.keptShadow().recycledChunks(),
+              small_chunks + large);
 
     EXPECT_EQ(sparse_kept,
               dumpOf(Simulator::runWith(*sparse(), continuous)));

@@ -334,6 +334,51 @@ TEST(StreamSession, QueuesAcrossBlocksGiveOneReportEveryWay)
     EXPECT_EQ(metrics.gauge("stream.buffered_bytes").value(), 0);
 }
 
+TEST(StreamSession, OpBlocksGoBackToTheSharedPool)
+{
+    // Two threads of 10,000 ops: twenty 1,024-op blocks. A sized
+    // session holds them all until it is destroyed; a streamed one
+    // hands each back once drained. Both borrow from one pool, which
+    // ends with every block returned and no more blocks than the
+    // buffered job held at once.
+    const std::string image = traceImage(racyTrace(5000), "pool");
+    stream::OpBlockPool blocks;
+
+    stream::StreamConfig config =
+        sessionConfig("unit", image.size() + 1024, 0);
+    config.trace_bytes = image.size();
+    config.op_blocks = &blocks;
+    runtime::Simulator engine(config.base);
+    std::string buffered;
+    {
+        stream::StreamSession sized(std::move(config));
+        std::string err;
+        ASSERT_TRUE(sized.feed(image.data(), image.size(), err)) << err;
+        sized.end();
+        EXPECT_EQ(blocks.borrowed(), 20u);
+        const stream::StreamFinal final = sized.run(engine);
+        ASSERT_TRUE(final.ok) << final.json;
+        buffered = final.json;
+        EXPECT_EQ(blocks.borrowed(), 20u);
+    }
+    EXPECT_EQ(blocks.borrowed(), 0u);
+    EXPECT_EQ(blocks.pages(), 20u);
+
+    Capture windowed;
+    stream::StreamConfig streamed = sessionConfig("unit", 4096, 0);
+    streamed.op_blocks = &blocks;
+    {
+        stream::StreamSession session(std::move(streamed),
+                                      windowed.callbacks());
+        session.start();
+        feedAll(session, image, 1024);
+    }
+    ASSERT_TRUE(windowed.ok) << windowed.final_json;
+    EXPECT_EQ(windowed.final_json, buffered);
+    EXPECT_EQ(blocks.borrowed(), 0u);
+    EXPECT_EQ(blocks.pages(), 20u);
+}
+
 TEST(StreamSession, TrailingBytesAfterLastRecordRejected)
 {
     // An open-ended upload learns its length only from the header,

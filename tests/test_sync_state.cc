@@ -18,8 +18,9 @@ TEST(SyncClocks, InitialClocksStartAtOneForSelf)
     for (ThreadId t = 0; t < 3; ++t) {
         EXPECT_EQ(sc.clock(t).get(t), 1u);
         for (ThreadId u = 0; u < 3; ++u) {
-            if (u != t)
+            if (u != t) {
                 EXPECT_EQ(sc.clock(t).get(u), 0u);
+            }
         }
     }
 }
